@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .cone import Budget
 from .halfline import CertificateNotFound, polya_szego_certificate
-from .matrices import Matrix2, falsify_random, horner_matrix_eval
+from .matrices import Matrix2, _falsify, horner_matrix_eval
 from .polynomial import Polynomial
 from .preserver import (
     MembershipStatus,
@@ -325,7 +325,7 @@ def _run_command(command: str, p: Polynomial, config: RunConfig) -> dict:
             }
         return report
     if command == "falsify":
-        found = falsify_random(p, trials=config.trials, seed=config.seed)
+        found, trials_run = _falsify(p, config.trials, config.seed)
         report = {
             "input": p.coefficient_strings(),
             "class": PreserverClass.P2.value,
@@ -334,7 +334,7 @@ def _run_command(command: str, p: Polynomial, config: RunConfig) -> dict:
             else MembershipStatus.UNKNOWN.value,
             "trail": [{"name": "random_matrix_oracle",
                        "status": "violation" if found is not None else "no_violation"}],
-            "budget_spent": {"trials": config.trials, "seed": config.seed},
+            "budget_spent": {"trials": trials_run, "seed": config.seed},
         }
         if found is not None:
             report["witness_matrix"] = _matrix_strings(found)
@@ -379,10 +379,12 @@ def _run_command(command: str, p: Polynomial, config: RunConfig) -> dict:
 
 
 _EXIT_BY_STATUS = {"member": 0, "pass": 0, "holds": 0,
-                   "not_member": 1, "fail": 1, "unknown": 2}
+                   "not_member": 1, "fail": 1, "unknown": 2, "parse_error": 64}
 
 
 def _render_text(report: dict) -> str:
+    if report["status"] == "parse_error":
+        return f"line: {report['line']}\nstatus: parse_error\nerror: {report['error']}"
     lines = [f"class: {report['class']}", f"status: {report['status']}"]
     if report.get("trail"):
         lines.append(
@@ -453,7 +455,15 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
-def _gather_inputs(args: argparse.Namespace) -> list[Polynomial]:
+def _parse_batch_line(number: int, line: str) -> Union[Polynomial, dict]:
+    """The line's polynomial, or the error report of a line that fails to parse."""
+    try:
+        return parse_polynomial(line)
+    except ParseError as exc:
+        return {"line": number, "status": "parse_error", "error": str(exc)}
+
+
+def _gather_inputs(args: argparse.Namespace) -> list[Union[Polynomial, dict]]:
     sources = [s for s in (args.expression, args.coeffs, args.batch) if s is not None]
     if len(sources) != 1:
         raise _UsageError("provide exactly one of: expression, --coeffs, --batch")
@@ -463,7 +473,8 @@ def _gather_inputs(args: argparse.Namespace) -> list[Polynomial]:
                 lines = [line.strip() for line in handle]
         except OSError as exc:
             raise _UsageError(f"cannot read batch file: {exc}")
-        return [parse_polynomial(line) for line in lines if line]
+        return [_parse_batch_line(number, line)
+                for number, line in enumerate(lines, 1) if line]
     if args.coeffs is not None:
         return [parse_polynomial([tok for tok in args.coeffs.split(",")])]
     return [parse_polynomial(args.expression)]
@@ -483,7 +494,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 64
     worst = 0
     for p in polynomials:
-        report = _run_command(args.command, p, config)
+        report = p if isinstance(p, dict) else _run_command(args.command, p, config)
         if config.fmt == "json":
             print(json.dumps(report))
         else:

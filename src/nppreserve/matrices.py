@@ -11,6 +11,7 @@ reproducible and trials are independent.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -90,12 +91,23 @@ class Matrix2:
         return f"[[{self.a11}, {self.a12}], [{self.a21}, {self.a22}]]"
 
 
+def _cayley_hamilton(coeffs, t, d):
+    """Pair (u, v) with p(M) = u*M + v*I for every 2x2 M of trace t and det d.
+
+    Horner modulo the characteristic polynomial x^2 - t*x + d: since
+    M^2 = t*M - d*I, (u*M + v*I)*M + c*I = (u*t + v)*M + (c - u*d)*I.
+    Exact over int and Fraction alike; two products per coefficient.
+    """
+    u = v = 0
+    for c in reversed(coeffs):
+        u, v = u * t + v, c - u * d
+    return u, v
+
+
 def horner_matrix_eval(p: Polynomial, a: Matrix2) -> Matrix2:
-    """Exact p(A) by Horner, with the identity standing in for the constant term."""
-    result = Matrix2.zero()
-    for c in reversed(p.coeffs):
-        result = result @ a + Matrix2.scalar(c)
-    return result
+    """Exact p(A), by Horner reduced modulo the characteristic polynomial of A."""
+    u, v = _cayley_hamilton(p.coeffs, a.trace(), a.det())
+    return Matrix2(u * a.a11 + v, u * a.a12, u * a.a21, u * a.a22 + v)
 
 
 @dataclass(frozen=True)
@@ -165,23 +177,39 @@ def scramble_similarity(a: Matrix2, d1: Rational, d2: Rational, swap: bool) -> M
 
 
 class _TrialRandom:
-    """Counter-based pseudo-random stream keyed by (seed, trial)."""
+    """Counter-based pseudo-random stream keyed by (seed, trial).
+
+    Draw n is read from sha256(b"nppreserve:<seed>:<trial>:<n>"), n = 1, 2, ...
+    """
 
     __slots__ = ("_prefix", "_counter")
 
     def __init__(self, seed: int, trial: int):
-        self._prefix = f"nppreserve:{seed}:{trial}:"
+        self._prefix = f"nppreserve:{seed}:{trial}:".encode()
         self._counter = 0
 
     def randint(self, lo: int, hi: int) -> int:
         self._counter += 1
-        digest = hashlib.sha256(
-            (self._prefix + str(self._counter)).encode()
-        ).digest()
+        digest = hashlib.sha256(self._prefix + str(self._counter).encode()).digest()
         return lo + int.from_bytes(digest, "big") % (hi - lo + 1)
 
 
-_DYADIC = 64  # denominator of all sampled rationals
+_DYADIC = 64  # denominator of the sampled rho, mu and uniform entries
+_SCALE = 2 * _DYADIC  # (rho +- mu)/2 halves it: every sampled A has 128*A integral
+
+
+def _scaled_coefficients(p: Polynomial) -> list[int]:
+    """Integer coefficients b_k of q(x) = L * 128^m * p(x / 128).
+
+    L is the lcm of the denominators of p and m its degree, so q(128*A) =
+    L * 128^m * p(A) has the entry signs of p(A).
+    """
+    lcm = 1
+    for c in p.coeffs:
+        lcm = math.lcm(lcm, c.denominator)
+    top = len(p.coeffs) - 1
+    return [c.numerator * (lcm // c.denominator) * _SCALE ** (top - k)
+            for k, c in enumerate(p.coeffs)]
 
 
 def falsify_random(p: Polynomial, trials: int, seed: int = 0) -> Optional[Matrix2]:
@@ -195,31 +223,44 @@ def falsify_random(p: Polynomial, trials: int, seed: int = 0) -> Optional[Matrix
     to hit; returns the first (lowest trial index) violating matrix, or
     None.  Deterministic given the seed.
     """
+    return _falsify(p, trials, seed)[0]
+
+
+def _falsify(p: Polynomial, trials: int, seed: int) -> tuple[Optional[Matrix2], int]:
+    """falsify_random's search; also returns the number of trials it ran.
+
+    Each trial decides the signs of p(A) in plain ints: M = 128*A is
+    integral and q(M) = u*M + v*I (see _scaled_coefficients and
+    _cayley_hamilton).  The scramble similarity only permutes those signs
+    and scales them by positive factors, and every trial has its own
+    stream, so its draws are taken, from the same stream positions, only
+    once a trial hits.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     span = int(cauchy_bound(p)) + 1 if not p.is_zero else 1
     limit = span * _DYADIC
+    coeffs = _scaled_coefficients(p)
     for trial in range(trials):
         rng = _TrialRandom(seed, trial)
         family = trial % 3
         if family == 0:
-            a = Matrix2(*(Fraction(rng.randint(0, limit), _DYADIC) for _ in range(4)))
-        elif family == 1:
+            m11, m12, m21, m22 = (2 * rng.randint(0, limit) for _ in range(4))
+        elif family == 1:  # rho = i/64, mu = j/64
             i = rng.randint(0, limit)
-            rho = Fraction(i, _DYADIC)
-            mu = Fraction(rng.randint(-i, i), _DYADIC)
-            a = Matrix2((rho + mu) / 2, (rho - mu) / 2, (rho - mu) / 2, (rho + mu) / 2)
+            j = rng.randint(-i, i)
+            m11 = m22 = i + j
+            m12 = m21 = i - j
         else:
             i = rng.randint(1, limit)
-            rho = Fraction(i, _DYADIC)
-            mu = Fraction(rng.randint(1, i), _DYADIC)
-            a = Matrix2(0, rho, mu, rho - mu)
-        if rng.randint(0, 1):
-            d1 = 1 + Fraction(rng.randint(0, 15), 16)
-            d2 = 1 + Fraction(rng.randint(0, 15), 16)
-            a = scramble_similarity(a, d1, d2, swap=bool(rng.randint(0, 1)))
-        if not a.is_nonneg:
-            continue
-        if horner_matrix_eval(p, a).min_entry < 0:
-            return a
-    return None
+            j = rng.randint(1, i)
+            m11, m12, m21, m22 = 0, 2 * i, 2 * j, 2 * (i - j)
+        u, v = _cayley_hamilton(coeffs, m11 + m22, m11 * m22 - m12 * m21)
+        if u * m11 + v < 0 or u * m12 < 0 or u * m21 < 0 or u * m22 + v < 0:
+            a = Matrix2(*(Fraction(m, _SCALE) for m in (m11, m12, m21, m22)))
+            if rng.randint(0, 1):
+                d1 = 1 + Fraction(rng.randint(0, 15), 16)
+                d2 = 1 + Fraction(rng.randint(0, 15), 16)
+                a = scramble_similarity(a, d1, d2, swap=bool(rng.randint(0, 1)))
+            return a, trial + 1
+    return None, trials

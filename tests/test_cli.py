@@ -174,14 +174,32 @@ class TestBatchAndConfig:
         assert code == 1  # worst status across the batch
         assert [r["status"] for r in lines] == ["not_member", "member", "member"]
 
+    def test_batch_parse_error_keeps_other_lines(self, tmp_path, capsys):
+        batch = tmp_path / "polys.txt"
+        batch.write_text("x\nx^^2\n")
+        code = run(["check-p2", "--batch", str(batch), "--format", "json"])
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 64  # a parse error outranks every status
+        assert lines[0]["status"] == "member"
+        assert lines[1]["line"] == 2 and lines[1]["status"] == "parse_error"
+        assert "position 2" in lines[1]["error"]
+        assert run(["check-p2", "--batch", str(batch)]) == 64
+        blocks = capsys.readouterr().out.split("\n\n")
+        assert blocks[0].startswith("class: P2\nstatus: member")
+        assert blocks[1].startswith("line: 2\nstatus: parse_error\nerror: ")
+
     def test_env_overrides(self, capsys, monkeypatch):
         monkeypatch.setenv("NP_PRESERVE_SEED", "42")
         monkeypatch.setenv("NP_PRESERVE_TRIALS", "500")
         monkeypatch.setenv("NP_PRESERVE_FORMAT", "json")
         code = run(["falsify", "x^5 - 2x^3 + 2x"])
         report = json.loads(capsys.readouterr().out)
-        assert report["budget_spent"] == {"trials": 500, "seed": 42}
+        assert report["budget_spent"] == {"trials": 9, "seed": 42}  # hit at the 9th
         assert code == 1
+        code = run(["falsify", "x^2"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["budget_spent"] == {"trials": 500, "seed": 42}
+        assert code == 2
 
     def test_flags_beat_env(self, capsys, monkeypatch):
         monkeypatch.setenv("NP_PRESERVE_TRIALS", "77")

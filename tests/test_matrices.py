@@ -1,5 +1,6 @@
 """Exact matrix evaluation, the positive-matrix generator, and the oracle."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from nppreserve import (
     Matrix2,
     Polynomial,
     PosMatrixParams,
+    cauchy_bound,
     closed_form_image,
     falsify_random,
     horner_matrix_eval,
@@ -16,7 +18,7 @@ from nppreserve import (
     posmatrix_generate,
     scramble_similarity,
 )
-from conftest import QUINTIC, random_polynomial, random_pos_params
+from conftest import NEG_X, QUINTIC, random_polynomial, random_pos_params
 
 
 class TestHorner:
@@ -144,7 +146,7 @@ class TestScramble:
 class TestFalsify:
     def test_finds_quintic_violation(self):
         found = falsify_random(QUINTIC, 10_000, seed=42)
-        assert found is not None
+        assert found == Matrix2(0, Fraction(91, 216), Fraction(81, 256), Fraction(5, 64))
         assert found.is_nonneg
         assert horner_matrix_eval(QUINTIC, found).min_entry < 0
 
@@ -165,3 +167,102 @@ class TestFalsify:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             falsify_random(QUINTIC, 0, seed=1)
+
+
+# -- plain exact references ------------------------------------------------------
+
+
+def naive_horner(p, a):
+    """p(A) by Horner with one full 2x2 product per coefficient."""
+    result = Matrix2.zero()
+    for c in reversed(p.coeffs):
+        result = result @ a + Matrix2.scalar(c)
+    return result
+
+
+class _ReferenceStream:
+    """The falsifier's stream: draw n is sha256("nppreserve:<seed>:<trial>:<n>")."""
+
+    def __init__(self, seed, trial):
+        self.prefix = f"nppreserve:{seed}:{trial}:"
+        self.counter = 0
+
+    def randint(self, lo, hi):
+        self.counter += 1
+        digest = hashlib.sha256((self.prefix + str(self.counter)).encode()).digest()
+        return lo + int.from_bytes(digest, "big") % (hi - lo + 1)
+
+
+def reference_falsify(p, trials, seed):
+    """The falsifier as a plain Fraction loop: sample, scramble, matmul Horner."""
+    span = int(cauchy_bound(p)) + 1 if not p.is_zero else 1
+    limit = span * 64
+    for trial in range(trials):
+        rng = _ReferenceStream(seed, trial)
+        family = trial % 3
+        if family == 0:
+            a = Matrix2(*(Fraction(rng.randint(0, limit), 64) for _ in range(4)))
+        elif family == 1:
+            i = rng.randint(0, limit)
+            rho = Fraction(i, 64)
+            mu = Fraction(rng.randint(-i, i), 64)
+            a = Matrix2((rho + mu) / 2, (rho - mu) / 2, (rho - mu) / 2, (rho + mu) / 2)
+        else:
+            i = rng.randint(1, limit)
+            rho = Fraction(i, 64)
+            mu = Fraction(rng.randint(1, i), 64)
+            a = Matrix2(0, rho, mu, rho - mu)
+        if rng.randint(0, 1):
+            d1 = 1 + Fraction(rng.randint(0, 15), 16)
+            d2 = 1 + Fraction(rng.randint(0, 15), 16)
+            a = scramble_similarity(a, d1, d2, swap=bool(rng.randint(0, 1)))
+        assert a.is_nonneg  # every family samples nonnegative matrices
+        if naive_horner(p, a).min_entry < 0:
+            return a
+    return None
+
+
+def _degree12(rng, sign_low):
+    coeffs = [Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(12)]
+    coeffs[0] *= sign_low
+    return Polynomial(coeffs + [Fraction(rng.randint(1, 9), rng.randint(1, 9))])
+
+
+_RNG = random.Random(4099)
+_BIG, _TINY = Fraction(10**40, 3), Fraction(1, 10**30)
+FALSIFY_CASES = [
+    Polynomial(()),
+    Polynomial((Fraction(3, 4),)),
+    Polynomial((-1,)),
+    parse_polynomial("-x^3 + x"),
+    parse_polynomial("-x^2 + 2x"),
+    parse_polynomial("x^2"),
+    QUINTIC,
+    NEG_X,
+    _degree12(_RNG, 1),  # member: nonnegative coefficients
+    _degree12(_RNG, -1),
+    parse_polynomial("x^12 - x^11 + 1/3*x^3 + 2"),
+    Polynomial((_BIG, -1, 0, 1)),
+    Polynomial((1, -_BIG, 0, _TINY)),  # Cauchy bound near 10^70
+    Polynomial((0, _TINY, -1, _TINY)),
+    Polynomial((-_TINY, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, _BIG)),
+] + [random_polynomial(_RNG, max_degree=12) for _ in range(6)]
+
+
+class TestAgainstReference:
+    def test_horner_matches_matmul_horner(self):
+        rng = random.Random(77)
+        polys = [random_polynomial(rng, max_degree=12) for _ in range(40)]
+        polys += [Polynomial((_BIG, -_TINY, 0, 1)), Polynomial((_TINY,) * 13)]
+        for p in polys:
+            for _ in range(5):
+                a = Matrix2(*(Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+                              for _ in range(4)))
+                assert horner_matrix_eval(p, a) == naive_horner(p, a), (p, a)
+
+    @pytest.mark.parametrize("p", FALSIFY_CASES)
+    def test_falsify_matches_fraction_loop(self, p):
+        for seed in (0, 1, 2, 3):
+            for trials in (1, 10, 120):
+                expected = reference_falsify(p, trials, seed)
+                assert falsify_random(p, trials, seed) == expected, (seed, trials)
