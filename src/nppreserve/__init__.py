@@ -42,14 +42,9 @@ from .polynomial import (
     NEG_INF,
     POS_INF,
     Polynomial,
-    SturmChain,
     cauchy_bound,
-    decompose_parity,
-    derivative,
-    eval_poly,
     odd_multiplicity_part,
     radical,
-    reflect,
     square_free_decompose,
     sturm_count,
 )
@@ -95,7 +90,6 @@ __all__ = [
     "RatioVerdict",
     "ScreenVerdict",
     "SpectralResult",
-    "SturmChain",
     "TrailEntry",
     "UnsupportedCoefficient",
     "bernstein_tensor",
@@ -109,9 +103,6 @@ __all__ = [
     "check_spectral",
     "closed_form_image",
     "compactify",
-    "decompose_parity",
-    "derivative",
-    "eval_poly",
     "falsify_random",
     "horner_matrix_eval",
     "odd_multiplicity_part",
@@ -121,7 +112,6 @@ __all__ = [
     "posmatrix_generate",
     "radical",
     "ratio_value",
-    "reflect",
     "refute_ratio",
     "scramble_similarity",
     "square_free_decompose",

@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .halfline import check_nonneg_halfline
-from .polynomial import Polynomial, SturmChain, odd_multiplicity_part
+from .polynomial import Polynomial, count_unit_roots, integer_vector, odd_part_vector
 
 Rational = Union[Fraction, int, str]
 
@@ -380,14 +380,8 @@ def _nonneg_on_unit_interval(q: Polynomial) -> bool:
         return True
     if q(0) < 0 or q(1) < 0:
         return False
-    if q.degree >= 1:
-        odd = odd_multiplicity_part(q)
-        if odd.degree >= 1:
-            interior = SturmChain(odd).count_roots(0, 1)
-            if odd(1) == 0:
-                interior -= 1
-            if interior > 0:
-                return False
+    if count_unit_roots(odd_part_vector(integer_vector(q))) > 0:
+        return False
     x = Fraction(1, 2)
     while q(x) == 0:
         x = x / 2

@@ -1,8 +1,9 @@
 """Decide nonnegativity of a rational polynomial on the half line [0, inf).
 
-The decision itself is fully exact (leading sign, value at 0, then Sturm
-counting of odd-multiplicity roots on (0, inf)).  Rejections come with a
-rational witness point where the polynomial is exactly negative.
+The decision itself is fully exact: leading sign, value at 0, Descartes'
+rule of signs on the coefficients, then the integer root kernel's count of
+the odd-multiplicity roots on (0, inf).  Rejections come with a rational
+witness point where the polynomial is exactly negative.
 
 For members, :func:`polya_szego_certificate` extracts a numeric
 decomposition p = f1^2 + f2^2 + x*(g1^2 + g2^2) whose coefficients are
@@ -16,20 +17,24 @@ from fractions import Fraction
 from typing import Optional
 
 from mpmath import mp, mpf, sqrt as mp_sqrt, polyroots
+from mpmath.libmp import NoConvergence
 
 from .polynomial import (
     POS_INF,
+    IntVector,
     Polynomial,
-    SturmChain,
     cauchy_bound,
-    odd_multiplicity_part,
+    count_roots,
+    integer_vector,
+    odd_part_vector,
+    sign_variations,
     square_free_decompose,
-    sturm_count,
 )
 
 
 class CertificateNotFound(Exception):
-    """Raised when the residual tolerance is unreachable at the requested precision."""
+    """Raised when root finding does not converge or the residual tolerance
+    is unreachable at the requested precision."""
 
 
 @dataclass(frozen=True)
@@ -46,20 +51,21 @@ class HalflineVerdict:
     trace: Optional[str] = None
 
 
-def _point_below_largest_root(p: Polynomial, odd_part: Polynomial) -> Fraction:
+def _point_below_largest_root(p: Polynomial, odd_part: IntVector) -> Fraction:
     """Rational point 0 < a < (largest root of odd_part) with p(a) < 0, exact.
 
     Bisects toward the largest sign-change root from below; immediately left
     of it p is strictly negative down to the previous root of p, so the
     shrinking left endpoint eventually lands in that negativity interval.
+    No root of odd_part lies above b, so the question "is there a root
+    above mid?" is a count on (mid, b], which stays short as b shrinks.
     """
-    chain = SturmChain(odd_part.monic())
     a, b = Fraction(0), cauchy_bound(p)
     while True:
         if a > 0 and p(a) < 0:
             return a
         mid = (a + b) / 2
-        if chain.count_roots(mid, b) >= 1:
+        if count_roots(odd_part, mid, b) >= 1:
             a = mid
         else:
             b = mid
@@ -69,9 +75,11 @@ def check_nonneg_halfline(p: Polynomial) -> HalflineVerdict:
     """Exact test of p(x) >= 0 for all x >= 0, with witness extraction.
 
     A sign change on (0, inf) happens exactly at an odd-multiplicity root,
-    so after the leading-sign and value-at-0 gates the decision reduces to a
-    Sturm count of the odd-multiplicity square-free factors.  A root at 0
-    never rejects by itself.
+    so after the leading-sign and value-at-0 gates the decision reduces to
+    counting the positive roots of the odd-multiplicity square-free factors.
+    Coefficients without a sign change admit no positive root at all, which
+    decides most members before any factoring.  A root at 0 never rejects
+    by itself.
     """
     if p.is_zero:
         return HalflineVerdict(member=True)
@@ -80,8 +88,11 @@ def check_nonneg_halfline(p: Polynomial) -> HalflineVerdict:
         return HalflineVerdict(member=False, witness=cauchy_bound(p), trace="leading-sign")
     if p(0) < 0:
         return HalflineVerdict(member=False, witness=Fraction(0), trace="value-at-0")
-    odd = odd_multiplicity_part(p)
-    if odd.degree < 1 or sturm_count(odd, 0, POS_INF) == 0:
+    f = integer_vector(p)
+    if sign_variations(f) == 0:
+        return HalflineVerdict(member=True)
+    odd = odd_part_vector(f)
+    if count_roots(odd, 0, POS_INF) == 0:
         return HalflineVerdict(member=True)
     return HalflineVerdict(
         member=False, witness=_point_below_largest_root(p, odd), trace="odd-root"
@@ -173,7 +184,10 @@ def _squarefree_factor_quaternions(factor: Polynomial, bits: int) -> list[Quater
     if u.degree < 1:
         return quats
     coeffs_desc = [mpf(c.numerator) / mpf(c.denominator) for c in reversed(u.coeffs)]
-    roots = polyroots(coeffs_desc, maxsteps=200, extraprec=96)
+    try:
+        roots = polyroots(coeffs_desc, maxsteps=200, extraprec=96)
+    except NoConvergence as exc:
+        raise CertificateNotFound(f"root finding did not converge: {exc}") from exc
     im_tol = mpf(2) ** (-(bits // 2))
     n_real = 0
     n_pairs = 0
@@ -209,8 +223,8 @@ def polya_szego_certificate(p: Polynomial, precision_bits: int = 128) -> PolyaSz
     when the exactly-computed residual is at most
     2**(8 - precision_bits) * max|a_k|.
 
-    Raises CertificateNotFound when that tolerance is unreachable at the
-    requested precision, and ValueError for the zero polynomial or inputs
+    Raises CertificateNotFound when root finding does not converge or that
+    tolerance is unreachable at the requested precision, and ValueError for the zero polynomial or inputs
     that are not nonnegative on the half line.
     """
     if p.is_zero:

@@ -1,15 +1,18 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction` throughout, so every ring operation,
-evaluation and root count in this module is exact.  Real-root counting is
-done with Sturm chains built from the square-free part, so counts always
-mean *distinct* roots.
+:class:`Polynomial` keeps `fractions.Fraction` coefficients, so every ring
+operation and evaluation is exact.  Square-free decomposition and real-root
+counting run in an integer kernel on primitive coefficient vectors: Yun's
+algorithm with primitive remainder gcds, Descartes' rule of signs, and
+Vincent-Collins-Akritas bisection where Descartes alone does not decide.
+Counts always mean *distinct* roots and are exact.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 #: Interval endpoints for :func:`sturm_count` may be these sentinels.
@@ -207,34 +210,230 @@ class Polynomial:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
 
 
-# -- public operation aliases (functional style) --------------------------
+# -- the integer real-root kernel ---------------------------------------------
+#
+# Square-free decomposition and root counting run on integer vectors:
+# ``f[k]`` is the coefficient of x**k, the common denominator is cleared,
+# the content is divided out and the leading coefficient is positive.  None
+# of these steps moves a root, so a count taken on the vector is the count
+# for the rational polynomial it came from.  Every quotient in the kernel is
+# exact over the integers (Gauss's lemma: a primitive divisor of an integer
+# polynomial leaves an integer quotient), so no step builds a Fraction.
+
+IntVector = list[int]
 
 
-def eval_poly(p: Polynomial, x: Coefficient) -> Fraction:
-    """Exact value of p at x."""
-    return p(x)
+def _primitive(f: Iterable[int]) -> IntVector:
+    """f with trailing zeros dropped, divided by its content, leading > 0."""
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
+        return f
+    g = gcd(*f)
+    if f[-1] < 0:
+        g = -g
+    return f if g == 1 else [c // g for c in f]
 
 
-def derivative(p: Polynomial) -> Polynomial:
-    return p.derivative()
+def integer_vector(p: Polynomial) -> IntVector:
+    """The primitive integer vector of p (empty for the zero polynomial)."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _primitive(c.numerator * (den // c.denominator) for c in p.coeffs)
 
 
-def decompose_parity(p: Polynomial) -> tuple[Polynomial, Polynomial]:
-    return p.parity_parts()
+def _derivative(f: IntVector) -> IntVector:
+    return [k * f[k] for k in range(1, len(f))]
 
 
-def reflect(p: Polynomial) -> Polynomial:
-    return p.reflect()
+def _pseudo_remainder(f: IntVector, g: IntVector) -> IntVector:
+    """The remainder of f on division by g, times a nonzero integer."""
+    r = list(f)
+    top = len(g) - 1
+    lead = g[-1]
+    while len(r) > top:
+        c = r[-1]
+        if c:
+            k = gcd(lead, c)
+            scale, c = lead // k, c // k
+            if scale != 1:
+                r = [scale * x for x in r]
+            shift = len(r) - 1 - top
+            for j, gj in enumerate(g):
+                r[shift + j] -= c * gj
+        r.pop()
+    return r
 
 
-# -- gcd / square-free machinery ------------------------------------------
+def _gcd(f: IntVector, g: IntVector) -> IntVector:
+    """Primitive gcd of two integer vectors, by a primitive remainder sequence."""
+    if len(f) < len(g):
+        f, g = g, f
+    f, g = _primitive(f), _primitive(g)
+    while g:
+        f, g = g, _primitive(_pseudo_remainder(f, g))
+    return f
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals (zero if both inputs are zero)."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+def _divide_exact(f: IntVector, g: IntVector) -> IntVector:
+    """f / g, where the primitive vector g divides f."""
+    top = len(g) - 1
+    if top == 0:
+        return list(f)
+    r = list(f)
+    lead = g[-1]
+    q = [0] * (len(f) - top)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + top] // lead
+        q[k] = c
+        if c:
+            for j, gj in enumerate(g):
+                r[k + j] -= c * gj
+    return q
+
+
+def _subtract(f: IntVector, g: IntVector) -> IntVector:
+    out = [a - b for a, b in itertools.zip_longest(f, g, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _multiply(f: IntVector, g: IntVector) -> IntVector:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _yun(f: IntVector) -> list[tuple[IntVector, int]]:
+    """Yun's square-free decomposition of a nonzero primitive vector.
+
+    Returns primitive, pairwise-coprime, square-free q_i of degree >= 1 with
+    multiplicities i such that f = prod(q_i ** i).  b and c are divided by
+    the same gcd at every step, which is all Yun's recurrence d = c - b'
+    needs, so constant factors never have to be tracked.
+    """
+    df = _derivative(f)
+    a0 = _gcd(f, df)
+    b, c = _divide_exact(f, a0), _divide_exact(df, a0)
+    out = []
+    i = 1
+    while len(b) > 1:
+        d = _subtract(c, _derivative(b))
+        q = _gcd(b, d)
+        if len(q) > 1:
+            out.append((q, i))
+        b, c = _divide_exact(b, q), _divide_exact(d, q)
+        i += 1
+    return out
+
+
+def radical_vector(f: IntVector) -> IntVector:
+    """Square-free part of a nonzero primitive vector: same roots, all simple."""
+    return _divide_exact(f, _gcd(f, _derivative(f)))
+
+
+def odd_part_vector(f: IntVector) -> IntVector:
+    """Product of the square-free factors of odd multiplicity of a nonzero
+    primitive vector; its roots are exactly the points where f changes sign."""
+    out = [1]
+    for q, mult in _yun(f):
+        if mult % 2 == 1:
+            out = _multiply(out, q)
+    return out
+
+
+def sign_variations(f: IntVector) -> int:
+    """Sign changes along the coefficients, zeros skipped.
+
+    By Descartes' rule of signs this bounds the number of positive roots
+    and has the same parity, so 0 and 1 are exact counts.
+    """
+    signs = [c > 0 for c in f if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _taylor_shift(f: IntVector, c: int = 1) -> IntVector:
+    """Coefficients of f(x + c)."""
+    a = list(f)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
+
+
+def count_unit_roots(f: IntVector) -> int:
+    """Distinct roots in the open interval (0, 1) of a nonzero square-free vector.
+
+    Vincent-Collins-Akritas bisection: the sign variations of
+    (1 + x)^n f(1/(1 + x)) bound the roots in (0, 1); at 0 or 1 the count
+    is exact, otherwise both halves are mapped back onto (0, 1) and a root
+    at 1/2 is counted on its own.  A root at 0 or 1 is never counted, and
+    the recursion ends because f is square-free (Vincent's theorem).
+    """
+    v = sign_variations(_taylor_shift(f[::-1]))
+    if v <= 1:
+        return v
+    n = len(f) - 1
+    left = [c << (n - k) for k, c in enumerate(f)]  # 2^n f(x/2)
+    right = _taylor_shift(left)  # 2^n f((x + 1)/2)
+    return count_unit_roots(left) + (right[0] == 0) + count_unit_roots(right)
+
+
+def _positive_roots(f: IntVector) -> int:
+    """Distinct roots in (0, inf) of a nonzero square-free vector."""
+    if f[-1] < 0:
+        f = [-c for c in f]
+    v = sign_variations(f)
+    if v <= 1:
+        return v
+    # positive roots lie below 1 + max(-f[k])/f[-1] (negative f[k] only) <= 2^k
+    top = max(-c for c in f if c < 0).bit_length()
+    k = max(top - f[-1].bit_length() + 2, 1)
+    return count_unit_roots([c << (k * j) for j, c in enumerate(f)])
+
+
+def _affine(f: IntVector, lo: Fraction, width: Fraction) -> IntVector:
+    """An integer vector with the roots of f(lo + width*x), width > 0."""
+    d = lcm(lo.denominator, width.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    e = width.numerator * (d // width.denominator)
+    n = len(f) - 1
+    g = [c * d ** (n - k) for k, c in enumerate(f)]  # d^n f(x/d)
+    if a:
+        g = _taylor_shift(g, a)
+    return [c * e**k for k, c in enumerate(g)] if e != 1 else g
+
+
+def _reflect(f: IntVector) -> IntVector:
+    return [-c if k % 2 else c for k, c in enumerate(f)]
+
+
+def count_roots(f: IntVector, lo: Endpoint, hi: Endpoint) -> int:
+    """Distinct real roots in (lo, hi] of a nonzero square-free vector.
+
+    Endpoints may be NEG_INF / POS_INF.  A finite interval is mapped onto
+    (0, 1) by an affine substitution, and hi is tested on its own.
+    """
+    if hi == POS_INF:
+        if lo == NEG_INF:
+            return _positive_roots(f) + _positive_roots(_reflect(f)) + (f[0] == 0)
+        return _positive_roots(_affine(f, Fraction(lo), Fraction(1)))
+    if lo == NEG_INF:
+        return count_roots(f, NEG_INF, POS_INF) - count_roots(f, hi, POS_INF)
+    lo = Fraction(lo)
+    g = _affine(f, lo, Fraction(hi) - lo)
+    return count_unit_roots(g) + (sum(g) == 0)
+
+
+# -- the rational interface ---------------------------------------------------
+
+
+def _monic(f: IntVector) -> Polynomial:
+    return Polynomial(Fraction(c, f[-1]) for c in f)
 
 
 def square_free_decompose(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -246,34 +445,14 @@ def square_free_decompose(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """
     if p.is_zero:
         raise ValueError("square-free decomposition of the zero polynomial")
-    if p.degree <= 0:
-        return []
-    f = p.monic()
-    df = f.derivative()
-    a0 = poly_gcd(f, df)
-    b = f // a0
-    c = df // a0
-    out: list[tuple[Polynomial, int]] = []
-    i = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        q = poly_gcd(b, d)
-        if q.degree > 0:
-            out.append((q, i))
-        b = b // q
-        c = d // q
-        i += 1
-    return out
+    return [(_monic(q), mult) for q, mult in _yun(integer_vector(p))]
 
 
 def radical(p: Polynomial) -> Polynomial:
     """Product of the distinct irreducible factors (square-free part), monic."""
     if p.is_zero:
         raise ValueError("radical of the zero polynomial")
-    if p.degree <= 0:
-        return Polynomial.one()
-    g = poly_gcd(p, p.derivative())
-    return (p // g).monic()
+    return _monic(radical_vector(integer_vector(p)))
 
 
 def odd_multiplicity_part(p: Polynomial) -> Polynomial:
@@ -281,56 +460,9 @@ def odd_multiplicity_part(p: Polynomial) -> Polynomial:
 
     Its roots are exactly the points where p changes sign.
     """
-    out = Polynomial.one()
-    for factor, mult in square_free_decompose(p):
-        if mult % 2 == 1:
-            out = out * factor
-    return out
-
-
-# -- Sturm chains -----------------------------------------------------------
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-class SturmChain:
-    """Sturm chain of a square-free polynomial.
-
-    Built as p0 = s, p1 = s', p_{i+1} = -rem(p_{i-1}, p_i); for square-free
-    input the chain ends at a nonzero constant.  Sign-variation counts are
-    defined at any rational point and at +/-infinity through leading signs;
-    zeros are skipped, which makes V(a) - V(b) count roots in (a, b].
-    """
-
-    __slots__ = ("sequence",)
-
-    def __init__(self, squarefree: Polynomial):
-        if squarefree.is_zero:
-            raise ValueError("Sturm chain of the zero polynomial")
-        seq = [squarefree, squarefree.derivative()]
-        while not seq[-1].is_zero:
-            seq.append(-(seq[-2] % seq[-1]))
-        seq.pop()
-        self.sequence: tuple[Polynomial, ...] = tuple(seq)
-
-    def _signs_at(self, x: Endpoint) -> list[int]:
-        if x == POS_INF:
-            return [_sign(q.leading) for q in self.sequence]
-        if x == NEG_INF:
-            return [
-                _sign(q.leading) * (-1 if q.degree % 2 else 1) for q in self.sequence
-            ]
-        return [_sign(q(Fraction(x))) for q in self.sequence]
-
-    def variations(self, x: Endpoint) -> int:
-        """Number of sign changes of the chain at x, zeros skipped."""
-        signs = [s for s in self._signs_at(x) if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    def count_roots(self, lo: Endpoint, hi: Endpoint) -> int:
-        return self.variations(lo) - self.variations(hi)
+    if p.is_zero:
+        raise ValueError("square-free decomposition of the zero polynomial")
+    return _monic(odd_part_vector(integer_vector(p)))
 
 
 def sturm_count(p: Polynomial, lo: Endpoint, hi: Endpoint) -> int:
@@ -343,9 +475,7 @@ def sturm_count(p: Polynomial, lo: Endpoint, hi: Endpoint) -> int:
         raise ValueError("root count of the zero polynomial")
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if p.degree == 0:
-        return 0
-    return SturmChain(radical(p)).count_roots(lo, hi)
+    return count_roots(radical_vector(integer_vector(p)), lo, hi)
 
 
 def cauchy_bound(p: Polynomial) -> Fraction:

@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .cone import Budget, DEFAULT_BUDGET, RatioStatus, check_ratio
 from .halfline import check_nonneg_halfline
 from .matrices import Matrix2
-from .polynomial import Polynomial, SturmChain, radical
+from .polynomial import Polynomial, count_roots, integer_vector, radical_vector
 
 Rational = Union[Fraction, int, str]
 
@@ -125,9 +125,9 @@ def _monotonicity_witness(p: Polynomial, dp: Polynomial, x0: Fraction
         if p(x0 + h) < base:
             return (x0 + h, x0)
         h = h / 2
-    chain = SturmChain(radical(dp))
+    roots = radical_vector(integer_vector(dp))
     while True:
-        if chain.count_roots(x0, x0 + h) == 0 and p(x0 + h) < base:
+        if count_roots(roots, x0, x0 + h) == 0 and p(x0 + h) < base:
             return (x0 + h, x0)
         h = h / 2
 
@@ -136,7 +136,7 @@ def check_spectral(p: Polynomial) -> SpectralResult:
     """Exact test of p(rho) >= |p(mu)| for all rho >= |mu|.
 
     Equivalent to the derivative, even part and odd part all being
-    nonnegative on [0, inf); each reduces to a Sturm decision.  A failure
+    nonnegative on [0, inf); each is an exact half-line decision.  A failure
     of the even (odd) part at x0 violates the inequality at (x0, -x0); a
     sole derivative failure yields a monotonicity violation just right
     of its witness.

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from mpmath.libmp import NoConvergence
+
+import nppreserve.halfline
 from nppreserve import ParseError, Polynomial, UnsupportedCoefficient, parse_polynomial
 from nppreserve.cli import run
 from conftest import QUARTIC, QUINTIC
@@ -128,6 +131,16 @@ class TestReports:
         num, _, den = cert["residual"].partition("/")
         residual = Fraction(int(num), int(den or "1"))
         assert residual <= Fraction(2) ** (8 - 128) * 6
+
+    def test_certificate_root_finding_failure_is_unknown(self, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise NoConvergence("no convergence")
+
+        monkeypatch.setattr(nppreserve.halfline, "polyroots", no_convergence)
+        code = run(["certificate", "5x^4 - 6x^2 + 2", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2 and report["status"] == "unknown"
+        assert "did not converge" in report["error"]
 
     def test_certificate_of_non_member(self, capsys):
         code = run(["certificate", "--format", "json", "--", "-x"])

@@ -21,6 +21,7 @@ from nppreserve import (
     ratio_value,
     refute_ratio,
 )
+from nppreserve import cone
 from conftest import CERTIFY_MEMBER, QUARTIC, QUINTIC, random_polynomial
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -189,6 +190,27 @@ class TestCertify:
                 t = box.t_lo + (box.t_hi - box.t_lo) * Fraction(rng.randint(0, 32), 32)
                 r = box.r_lo + (box.r_hi - box.r_lo) * Fraction(rng.randint(0, 32), 32)
                 assert bp.eval(t, r) >= 0
+
+
+class TestUnitIntervalEdgeCheck:
+    def test_constructed_roots(self):
+        # the sign of q is constant between consecutive distinct roots, so
+        # q >= 0 on [0, 1] exactly when it is at the ends and at one point
+        # between each pair of neighbouring roots
+        rng = random.Random(2718)
+        seen = set()
+        for _ in range(150):
+            roots = {Fraction(rng.randint(-4, 20), 16) for _ in range(rng.randint(1, 5))}
+            q = Polynomial((rng.choice([-1, 1]),))
+            for r in roots:
+                for _ in range(rng.randint(1, 3)):
+                    q = q * Polynomial((-r, 1))
+            marks = sorted({Fraction(0), Fraction(1)} | {r for r in roots if 0 < r < 1})
+            samples = marks + [(a + b) / 2 for a, b in zip(marks, marks[1:])]
+            expected = all(q(x) >= 0 for x in samples)
+            seen.add(expected)
+            assert cone._nonneg_on_unit_interval(q) is expected, str(q)
+        assert seen == {True, False}
 
 
 class TestCheckRatio:

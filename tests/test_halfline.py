@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from mpmath.libmp import NoConvergence
+
+import nppreserve.halfline
 from nppreserve import (
+    CertificateNotFound,
     Polynomial,
     cauchy_bound,
     check_nonneg_halfline,
@@ -155,6 +159,14 @@ class TestCertificate:
     def test_non_member_rejected(self):
         with pytest.raises(ValueError):
             polya_szego_certificate(parse_polynomial("-x"), 128)
+
+    def test_root_finding_failure_is_certificate_not_found(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise NoConvergence("no convergence")
+
+        monkeypatch.setattr(nppreserve.halfline, "polyroots", no_convergence)
+        with pytest.raises(CertificateNotFound):
+            polya_szego_certificate(parse_polynomial("5x^4 - 6x^2 + 2"), 128)
 
     def test_random_members_certify(self):
         rng = random.Random(606)

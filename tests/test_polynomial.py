@@ -1,4 +1,4 @@
-"""Exact arithmetic, parity structure, and Sturm counting."""
+"""Exact arithmetic, parity structure, and real-root counting."""
 
 import random
 from fractions import Fraction
@@ -11,13 +11,14 @@ from nppreserve import (
     NEG_INF,
     POS_INF,
     Polynomial,
-    SturmChain,
     cauchy_bound,
+    check_nonneg_halfline,
+    odd_multiplicity_part,
     radical,
     square_free_decompose,
     sturm_count,
 )
-from conftest import QUARTIC, QUARTIC_DERIV, QUINTIC, QUINTIC_DERIV
+from conftest import QUARTIC, QUARTIC_DERIV, QUINTIC, QUINTIC_DERIV, random_polynomial
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 poly_st = st.lists(fractions_st, max_size=7).map(Polynomial)
@@ -172,9 +173,29 @@ class TestSturm:
         with pytest.raises(ValueError):
             sturm_count(Polynomial(()), 0, 1)
 
-    def test_chain_ends_in_constant(self):
-        chain = SturmChain(radical(QUINTIC_DERIV))
-        assert chain.sequence[-1].degree == 0
+    def test_clustered_degree_14_counts_exactly(self):
+        # square-free with roots 1 + k/1000, k = 0..13: every run of
+        # neighbouring roots is counted exactly, with (lo, hi] at both ends
+        roots = [1 + Fraction(k, 1000) for k in range(14)]
+        p = _product_of_roots(roots)
+        assert sturm_count(p, NEG_INF, POS_INF) == 14
+        assert sturm_count(p, 0, 2) == 14
+        assert sturm_count(p.reflect(), NEG_INF, 0) == 14
+        half_gap = Fraction(1, 2000)
+        for i in range(14):
+            assert sturm_count(p, roots[i] - half_gap, roots[i] + half_gap) == 1
+            assert sturm_count(p, NEG_INF, roots[i]) == i + 1
+            assert sturm_count(p, roots[i], POS_INF) == 13 - i
+            for j in range(i + 1, 14):
+                assert sturm_count(p, roots[i], roots[j]) == j - i
+
+    def test_roots_closer_than_float_resolution(self):
+        e = Fraction(1, 2**70)
+        p = _product_of_roots([Fraction(1), 1 + e, Fraction(-3)])
+        assert sturm_count(p, 0, 2) == 2
+        assert sturm_count(p, 1, 1 + e) == 1
+        assert sturm_count(p, 1 - e, 1 + e / 2) == 1
+        assert sturm_count(p, 1 + e / 2, 2) == 1
 
     def test_constructed_roots(self):
         # counts must match the constructed distinct roots in (lo, hi]
@@ -214,6 +235,182 @@ class TestSturm:
                 1 for a, b in zip(values, values[1:]) if a != 0 and b != 0 and (a < 0) != (b < 0)
             )
             assert sturm_count(p, lo, hi) == changes
+
+
+# -- reference: the Fraction gcd, Yun and Sturm chains the integer kernel
+# replaced; the kernel must reproduce their results exactly ----------------
+
+
+def _ref_gcd(a, b):
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic() if not a.is_zero else a
+
+
+def _ref_square_free(p):
+    if p.degree <= 0:
+        return []
+    f = p.monic()
+    df = f.derivative()
+    a0 = _ref_gcd(f, df)
+    b, c = f // a0, df // a0
+    out = []
+    i = 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        q = _ref_gcd(b, d)
+        if q.degree > 0:
+            out.append((q, i))
+        b, c = b // q, d // q
+        i += 1
+    return out
+
+
+def _ref_odd_part(p):
+    out = Polynomial.one()
+    for factor, mult in _ref_square_free(p):
+        if mult % 2 == 1:
+            out = out * factor
+    return out
+
+
+def _ref_radical(p):
+    if p.degree <= 0:
+        return Polynomial.one()
+    return (p // _ref_gcd(p, p.derivative())).monic()
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+class _RefSturmChain:
+    def __init__(self, squarefree):
+        seq = [squarefree, squarefree.derivative()]
+        while not seq[-1].is_zero:
+            seq.append(-(seq[-2] % seq[-1]))
+        seq.pop()
+        self.sequence = seq
+
+    def variations(self, x):
+        if x == POS_INF:
+            signs = [_sign(q.leading) for q in self.sequence]
+        elif x == NEG_INF:
+            signs = [_sign(q.leading) * (-1 if q.degree % 2 else 1) for q in self.sequence]
+        else:
+            signs = [_sign(q(Fraction(x))) for q in self.sequence]
+        signs = [s for s in signs if s != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def count_roots(self, lo, hi):
+        return self.variations(lo) - self.variations(hi)
+
+
+def _ref_count(p, lo, hi):
+    if p.degree == 0:
+        return 0
+    return _RefSturmChain(_ref_radical(p)).count_roots(lo, hi)
+
+
+def _ref_halfline(p):
+    """(member, witness, trace) of the half-line decision with Sturm chains."""
+    if p.is_zero:
+        return True, None, None
+    if p.leading < 0:
+        return False, cauchy_bound(p), "leading-sign"
+    if p(0) < 0:
+        return False, Fraction(0), "value-at-0"
+    odd = _ref_odd_part(p)
+    if odd.degree < 1:
+        return True, None, None
+    chain = _RefSturmChain(odd)
+    if chain.count_roots(0, POS_INF) == 0:
+        return True, None, None
+    a, b = Fraction(0), cauchy_bound(p)
+    while True:
+        if a > 0 and p(a) < 0:
+            return False, a, "odd-root"
+        mid = (a + b) / 2
+        if chain.count_roots(mid, b) >= 1:
+            a = mid
+        else:
+            b = mid
+
+
+def _power(p, n):
+    out = Polynomial.one()
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def _reference_cases():
+    """(polynomial, interval endpoints) pairs; the endpoints include the
+    constructed roots, so roots sit at both ends of some intervals."""
+    rng = random.Random(314159)
+    cases = []
+    for _ in range(40):  # random rationals, degree <= 10
+        p = random_polynomial(rng, max_degree=10)
+        if not p.is_zero:
+            cases.append((p, [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(3)]))
+    for _ in range(40):  # constructed roots, repeated, some at 0
+        roots = sorted({Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(rng.randint(1, 5))})
+        p = Polynomial((Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5)),))
+        for r in roots:
+            p = p * _power(Polynomial((-r, 1)), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            p = p * Polynomial((Fraction(rng.randint(1, 5)), 0, 1))  # no real roots
+        cases.append((p, roots + [Fraction(0)]))
+    for _ in range(8):  # degree 14
+        p = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(14)] + [1])
+        cases.append((p, [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)]))
+    clustered = [1 + Fraction(k, 1000) for k in range(14)]
+    cases.append((_product_of_roots([-r for r in clustered]), [Fraction(-1), Fraction(0)]))
+    cases.append((_product_of_roots(clustered), clustered[::3]))
+    e = Fraction(1, 2**70)
+    pair = _product_of_roots([Fraction(1), 1 + e, Fraction(-3)])
+    cases.append((pair, [Fraction(1), 1 + e, 1 + e / 2]))
+    cases.append((Polynomial.x() * pair * 4, [Fraction(1)]))
+    big, tiny = Fraction(10**40, 3), Fraction(1, 10**30)
+    for coeffs in ([1, -big, 0, tiny], [tiny, -1, big], [-tiny, 0, big, -1, tiny],
+                   [big, tiny, -big, 0, tiny]):
+        cases.append((Polynomial(coeffs), [tiny, Fraction(1), big]))
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("p, points", REFERENCE_CASES)
+    def test_counts(self, p, points):
+        ends = [NEG_INF] + sorted(set(points)) + [POS_INF]
+        for i, lo in enumerate(ends):
+            for hi in ends[i + 1:]:
+                assert sturm_count(p, lo, hi) == _ref_count(p, lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("p, points", REFERENCE_CASES)
+    def test_factorizations(self, p, points):
+        assert square_free_decompose(p) == _ref_square_free(p)
+        assert odd_multiplicity_part(p) == _ref_odd_part(p)
+        assert radical(p) == _ref_radical(p)
+
+    @pytest.mark.parametrize("p, points", REFERENCE_CASES)
+    def test_halfline_decisions(self, p, points):
+        for q in (p, -p, p.reflect(), p.derivative()):
+            v = check_nonneg_halfline(q)
+            assert (v.member, v.witness, v.trace) == _ref_halfline(q), str(q)
+
+    @given(nonzero_poly_st, st.lists(fractions_st, min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_random(self, p, points):
+        ends = [NEG_INF] + sorted(set(points)) + [POS_INF]
+        for i, lo in enumerate(ends):
+            for hi in ends[i + 1:]:
+                assert sturm_count(p, lo, hi) == _ref_count(p, lo, hi)
+        assert square_free_decompose(p) == _ref_square_free(p)
+        v = check_nonneg_halfline(p)
+        assert (v.member, v.witness, v.trace) == _ref_halfline(p)
 
 
 class TestCauchyBound:

@@ -66,6 +66,24 @@ class TestCheckSpectral:
         p = MONOTONE_BREAKER
         assert p(rho) < abs(p(mu))  # monotonicity violation, exact
 
+    def test_monotonicity_fallback_after_64_halvings(self):
+        # p' = 4(x - 1)(x - 1 - e)(x + 3) is negative only on (1, 1 + e), so
+        # no step h = 2^-1 .. 2^-64 right of the derivative witness decreases
+        # p, and the witness comes from the root-count fallback
+        e = Fraction(1, 2**70)
+        p = Polynomial([36, 12 * (1 + e), 2 * (1 + e - 3 * (2 + e)), Fraction(4, 3) * (1 - e), 1])
+        assert p.derivative() == 4 * Polynomial((-1, 1)) * Polynomial((-1 - e, 1)) * Polynomial((3, 1))
+        res = check_spectral(p)
+        statuses = [entry.status for entry in res.trail]
+        assert statuses == ["not_member", "member", "member"]
+        rho, mu = res.witness_point
+        assert (rho, mu) == (
+            Fraction(2787593149816327892694227584687420226579115, 2**141),
+            Fraction(2787593149816327892693932436782240873753259, 2**141),
+        )
+        assert all(p(mu + Fraction(1, 2**k)) >= p(mu) for k in range(1, 65))
+        assert p(rho) < abs(p(mu))
+
     def test_witness_always_violates(self):
         rng = random.Random(1234)
         rejected = 0
