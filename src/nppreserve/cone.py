@@ -12,12 +12,21 @@ refutations are returned as exact ConeWitness values; nonnegativity is
 certified by tensor Bernstein coefficients on subdivided boxes plus exact
 univariate checks of the four edges.  Both directions are budgeted, so the
 overall answer is three-valued.
+
+check_ratio runs the two in lockstep: after grid level L finds no negative
+point, the breadth-first certifier works through the boxes whose sides are
+at least 2^-(L-2), and an empty box queue ends the search.  The answers are
+those of running the whole grid first: a certified square has no negative
+point for the grid to find, the certifier cannot finish while one exists,
+and each search keeps its own order (levels and lexicographic (t, r) points
+for the grid, breadth-first boxes for the certifier), so the witness and
+the certified boxes are the same.  Only the effort counters differ.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from math import comb
@@ -86,35 +95,6 @@ class BiPoly:
                 inner = inner * r + c
             acc = acc * t + inner
         return acc
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        nt = max(len(self.coeffs), len(other.coeffs))
-        nr = max(
-            len(self.coeffs[0]) if self.coeffs else 0,
-            len(other.coeffs[0]) if other.coeffs else 0,
-        )
-        grid = [[Fraction(0)] * nr for _ in range(nt)]
-        for src in (self.coeffs, other.coeffs):
-            for i, row in enumerate(src):
-                for j, c in enumerate(row):
-                    grid[i][j] += c
-        return BiPoly(grid)
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        if self.is_zero or other.is_zero:
-            return BiPoly([])
-        grid = [
-            [Fraction(0)] * (self.degree_r + other.degree_r + 1)
-            for _ in range(self.degree_t + other.degree_t + 1)
-        ]
-        for i, row in enumerate(self.coeffs):
-            for j, a in enumerate(row):
-                if a == 0:
-                    continue
-                for k, orow in enumerate(other.coeffs):
-                    for l, b in enumerate(orow):
-                        grid[i + k][j + l] += a * b
-        return BiPoly(grid)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BiPoly) and self.coeffs == other.coeffs
@@ -305,7 +285,32 @@ class RatioVerdict:
 # -- refutation --------------------------------------------------------------
 
 
-def _scan_grid(p: Polynomial, budget: Budget) -> tuple[Optional[ConeWitness], dict]:
+class _GridScan:
+    """Resume state of _scan_grid: the compactified form, its float
+    prefilter (None when a coefficient is beyond float range) and the
+    deepest level scanned so far."""
+
+    def __init__(self, bp: BiPoly):
+        self.bp = bp
+        self.level = 0
+        self.cmat = None
+        if bp.is_zero:
+            return
+        try:
+            cmat = np.array([[float(c) for c in row] for row in bp.coeffs], dtype=float)
+        except OverflowError:
+            return
+        if np.all(np.isfinite(cmat)):
+            self.cmat = cmat
+            self.cabs = np.abs(cmat)
+            nt, nr = cmat.shape
+            # generous bound on float evaluation error relative to sum of |terms|
+            self.gamma = 256.0 * nt * nr * 2.0**-53
+
+
+def _scan_grid(
+    p: Polynomial, budget: Budget, scan: Optional[_GridScan] = None
+) -> tuple[Optional[ConeWitness], dict]:
     """Dyadic grid search for P < 0 on (0,1] x (0,1), exact sign decisions.
 
     Floats only pre-filter: any point whose float value cannot be proven
@@ -313,36 +318,31 @@ def _scan_grid(p: Polynomial, budget: Budget) -> tuple[Optional[ConeWitness], di
     exact arithmetic in lexicographic (t, r) order, so the reported witness
     is the coarsest-level lexicographic-first negative grid point, exactly
     as an all-exact scan would report.
+
+    A given scan state resumes after its last level and is advanced; either
+    way the search stops after level budget.grid_depth.  The counters are
+    this call's work: levels scanned and exact evaluations.
     """
     counters = {"grid_levels": 0, "grid_exact_checks": 0}
-    bp = compactify(p)
+    if scan is None:
+        scan = _GridScan(compactify(p))
+    bp, cmat = scan.bp, scan.cmat
     if bp.is_zero:
         return None, counters
-    try:
-        cmat = np.array([[float(c) for c in row] for row in bp.coeffs], dtype=float)
-    except OverflowError:
-        cmat = None
-    if cmat is not None and not np.all(np.isfinite(cmat)):
-        cmat = None  # coefficients beyond float range: prefilter unusable
-    if cmat is not None:
-        cabs = np.abs(cmat)
-        nt, nr = cmat.shape
-        # generous bound on float evaluation error relative to sum of |terms|
-        gamma = 256.0 * nt * nr * 2.0**-53
-    for level in range(1, budget.grid_depth + 1):
-        counters["grid_levels"] = level
+    for level in range(scan.level + 1, budget.grid_depth + 1):
+        scan.level = level
+        counters["grid_levels"] += 1
         n = 1 << level
-        if n < 2:
-            continue
         if cmat is None:
             candidates = ((i, j) for i in range(n) for j in range(n - 1))
         else:
+            nt, nr = cmat.shape
             ts = np.arange(1, n + 1, dtype=float) / n
             rs = np.arange(1, n, dtype=float) / n
             tpow = ts[:, None] ** np.arange(nt)
             rpow = rs[:, None] ** np.arange(nr)
             vals = tpow @ cmat @ rpow.T
-            margin = gamma * (tpow @ cabs @ rpow.T)
+            margin = scan.gamma * (tpow @ scan.cabs @ rpow.T)
             candidates = np.argwhere(vals < margin)  # row-major == lex (t, r)
         for i, j in candidates:
             t = Fraction(int(i) + 1, n)
@@ -398,43 +398,81 @@ def _edge_polynomials(bp: BiPoly) -> list[tuple[str, Polynomial]]:
     ]
 
 
-def certify_ratio(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> RatioVerdict:
+class _BoxSearch:
+    """Resume state of certify_ratio: the breadth-first box queue (None
+    until the edges are checked), the boxes certified and processed so far,
+    and the side below which a call pauses (0: never)."""
+
+    def __init__(self, bp: BiPoly):
+        self.bp = bp
+        self.queue: Optional[deque] = None
+        self.edge_negative: Optional[str] = None
+        self.certified: list[Box] = []
+        self.processed = 0
+        self.min_side = Fraction(0)
+
+
+def certify_ratio(
+    p: Polynomial, budget: Budget = DEFAULT_BUDGET, search: Optional[_BoxSearch] = None
+) -> RatioVerdict:
     """Certify P >= 0 on the unit square, or give up within budget.
 
     The four edges are discharged by exact univariate checks; the interior
     by breadth-first box subdivision, a box being discharged when all its
     tensor Bernstein coefficients are >= 0.  Never returns FAILS.
+
+    A given search state resumes where it stopped and is advanced; the call
+    returns UNKNOWN when the next box has a side below search.min_side.  The
+    counters are this call's work; max_boxes bounds the search's total.
     """
     counters = {"boxes_processed": 0, "boxes_certified": 0}
-    bp = compactify(p)
+    if search is None:
+        search = _BoxSearch(compactify(p))
+    bp = search.bp
     if bp.is_zero:
         return RatioVerdict(RatioStatus.HOLDS, certificate="zero-ratio-form",
                             budget_spent=counters)
-    for name, edge in _edge_polynomials(bp):
-        if not _nonneg_on_unit_interval(edge):
-            counters[f"edge_negative[{name}]"] = 1
-            return RatioVerdict(RatioStatus.UNKNOWN, budget_spent=counters)
-    queue = deque([bernstein_tensor(bp, UNIT_BOX)])
-    certified: list[Box] = []
+    if search.edge_negative is not None:
+        return RatioVerdict(RatioStatus.UNKNOWN, budget_spent=counters)
+    if search.queue is None:
+        for name, edge in _edge_polynomials(bp):
+            if not _nonneg_on_unit_interval(edge):
+                search.edge_negative = name
+                counters[f"edge_negative[{name}]"] = 1
+                return RatioVerdict(RatioStatus.UNKNOWN, budget_spent=counters)
+        search.queue = deque([bernstein_tensor(bp, UNIT_BOX)])
+    queue = search.queue
     while queue:
-        if counters["boxes_processed"] >= budget.max_boxes:
+        box = queue[0].box
+        if min(box.width_t, box.width_r) < search.min_side:
+            return RatioVerdict(RatioStatus.UNKNOWN, budget_spent=counters)
+        if search.processed >= budget.max_boxes:
             return RatioVerdict(RatioStatus.UNKNOWN, budget_spent=counters)
         bb = queue.popleft()
+        search.processed += 1
         counters["boxes_processed"] += 1
         if bb.min_coefficient >= 0:
-            certified.append(bb.box)
+            search.certified.append(bb.box)
             counters["boxes_certified"] += 1
         else:
             queue.extend(bb.split())
-    return RatioVerdict(RatioStatus.HOLDS, certificate=tuple(certified),
+    return RatioVerdict(RatioStatus.HOLDS, certificate=tuple(search.certified),
                         budget_spent=counters)
 
 
 # -- the three-valued decision ----------------------------------------------
 
+# grid levels by which the certifier's box side trails the grid's spacing
+_CERTIFIER_LAG = 2
+
+
+def _add_spent(counters: dict, spent: dict) -> None:
+    for key, value in spent.items():
+        counters[key] = counters.get(key, 0) + value
+
 
 def check_ratio(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> RatioVerdict:
-    """Full pipeline: fast paths, then refutation, then certification.
+    """Full pipeline: fast paths, then refutation and certification in lockstep.
 
     Fast paths (exact):
       * p = c*x or p = 0: P is identically zero.
@@ -442,6 +480,14 @@ def check_ratio(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> RatioVerdict:
         nonnegative on the square.
       * odd part equal to c*x and even part nonnegative on the half line:
         the odd part contributes exactly zero to the cone value.
+
+    Then, for L = 1 .. grid_depth: scan grid level L and return FAILS on its
+    first negative point; otherwise let the certifier process the boxes
+    with sides >= 2^-(L-2) and return HOLDS once its queue is empty.  When
+    the grid depth is spent the certifier runs on to its box budget.  The
+    status, witness and certificate are those of the full grid scan
+    followed by certification (see the module docstring); the grid and box
+    counters are the work actually done.
     """
     counters = {"grid_levels": 0, "grid_exact_checks": 0,
                 "boxes_processed": 0, "boxes_certified": 0}
@@ -455,11 +501,22 @@ def check_ratio(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> RatioVerdict:
     if odd.degree <= 1 and check_nonneg_halfline(even).member:
         return RatioVerdict(RatioStatus.HOLDS, certificate="linear-odd-part",
                             budget_spent=counters)
-    witness, grid_counters = _scan_grid(p, budget)
-    counters.update(grid_counters)
-    if witness is not None:
-        return RatioVerdict(RatioStatus.FAILS, witness=witness, budget_spent=counters)
-    certified = certify_ratio(p, budget)
-    counters.update(certified.budget_spent)
+    bp = compactify(p)
+    scan, search = _GridScan(bp), _BoxSearch(bp)
+    for level in range(1, budget.grid_depth + 1):
+        witness, spent = _scan_grid(p, replace(budget, grid_depth=level), scan)
+        _add_spent(counters, spent)
+        if witness is not None:
+            return RatioVerdict(RatioStatus.FAILS, witness=witness, budget_spent=counters)
+        if level >= _CERTIFIER_LAG:
+            search.min_side = Fraction(1, 2 ** (level - _CERTIFIER_LAG))
+            certified = certify_ratio(p, budget, search)
+            _add_spent(counters, certified.budget_spent)
+            if certified.status is RatioStatus.HOLDS:
+                return RatioVerdict(RatioStatus.HOLDS, certificate=certified.certificate,
+                                    budget_spent=counters)
+    search.min_side = Fraction(0)
+    certified = certify_ratio(p, budget, search)
+    _add_spent(counters, certified.budget_spent)
     return RatioVerdict(certified.status, certificate=certified.certificate,
                         budget_spent=counters)

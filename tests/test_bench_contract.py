@@ -1,0 +1,94 @@
+"""The benchmark's view of the program: every per-layer metric that
+BENCHMARK.json declares must find the functions its spans wrap.
+
+bench/spans.py skips a span whose target is gone and leaves its metrics out
+of the report, so a renamed or deleted function shows up only as missing
+metrics in a benchmark run.  This test finds that in about a second.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+import nppreserve
+import nppreserve.cli
+from nppreserve import check_p2, check_ratio
+from conftest import CERTIFY_MEMBER, QUINTIC
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# per-layer metrics that bench/run.py computes itself, with the spans they need
+RUN_METRICS = {
+    "cone.peak_alloc_mib": ["cone.ratio"],
+    "cli.parse_ms": ["cli.parse"],
+    "cli.batch_overhead_ms": ["preserver.p2"],
+    "trace.overhead_pct": [],
+}
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tracer(spans):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        yield tracer
+    finally:
+        tracer.uninstall()
+
+
+def declared_metrics():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [m["name"] for m in spec["per_layer"]]
+
+
+def test_every_declared_metric_has_its_spans(spans, tracer):
+    for name in declared_metrics():
+        assert name in spans.LAYER or name in RUN_METRICS, name
+        needs = spans.LAYER[name][1] if name in spans.LAYER else RUN_METRICS[name]
+        missing = [span for span in needs if span not in tracer.traced]
+        assert not missing, f"{name} needs {missing}"
+
+
+def test_batch_entry_point_exists():
+    assert callable(nppreserve.cli.run)
+    assert callable(nppreserve.cli.parse_polynomial)
+
+
+def test_uninstall_restores_the_program(spans):
+    from nppreserve import cone
+
+    originals = (cone._scan_grid, cone.certify_ratio, cone.check_ratio, nppreserve.check_p2)
+    tracer = spans.Tracer()
+    tracer.install()
+    assert cone._scan_grid is not originals[0]
+    tracer.uninstall()
+    assert (cone._scan_grid, cone.certify_ratio, cone.check_ratio, nppreserve.check_p2) == originals
+
+
+def test_cone_hooks_sum_the_lockstep_calls(spans):
+    # check_ratio calls _scan_grid and certify_ratio once per grid level; the
+    # span hooks add up each call's counters to check_ratio's own totals
+    expected = {key: 0 for key in ("grid_levels", "grid_exact_checks",
+                                   "boxes_processed", "boxes_certified")}
+    for p in (CERTIFY_MEMBER, QUINTIC):
+        for key, value in check_ratio(p).budget_spent.items():
+            expected[key] += value
+    tracer = spans.Tracer()
+    with tracer.active("probe"):
+        for p in (CERTIFY_MEMBER, QUINTIC):
+            check_p2(p)
+    count = tracer.counts["probe"]
+    assert {key: count[key] for key in expected} == expected
+    assert (count["route_bernstein"], count["route_grid"]) == (1, 1)
+    calls = tracer.totals("probe")[0]
+    assert calls["cone.grid"] > 2 and calls["cone.bernstein"] > 0

@@ -84,6 +84,38 @@ class TestReports:
         assert report["image_negative_entry"] == {"i": 1, "j": 1, "value": "-3/16"}
         names = [e["name"] for e in report["trail"]]
         assert names == ["p_prime_in_P1", "p_even_in_P1", "p_odd_in_P1", "ratio_condition"]
+        assert report["budget_spent"] == {"grid_levels": 1, "grid_exact_checks": 1,
+                                          "boxes_processed": 0, "boxes_certified": 0}
+
+    def test_cone_effort_counters(self, capsys):
+        code = run(["check-p2", "x^4 + x^3 - x^2 + x + 1", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["status"]) == (0, "member")
+        assert report["trail"][-1]["detail"] == "certified-boxes:4"
+        assert report["budget_spent"] == {"grid_levels": 3, "grid_exact_checks": 0,
+                                          "boxes_processed": 7, "boxes_certified": 4}
+        code = run(["check-p2", "x^5 - 1/100x^3 + x", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["status"]) == (1, "not_member")
+        assert report["witness_point"] == ["1/15", "1/240"]
+        assert report["budget_spent"] == {"grid_levels": 4, "grid_exact_checks": 12,
+                                          "boxes_processed": 7, "boxes_certified": 2}
+
+    def test_small_budgets_on_a_member(self, capsys):
+        # a one-level grid still leaves the certifier its whole box budget;
+        # a one-box budget cannot certify, and the grid then runs all levels
+        code = run(["check-p2", "x^4 + x^3 - x^2 + x + 1", "--budget-grid", "1",
+                    "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["status"]) == (0, "member")
+        assert report["budget_spent"] == {"grid_levels": 1, "grid_exact_checks": 0,
+                                          "boxes_processed": 7, "boxes_certified": 4}
+        code = run(["check-p2", "x^4 + x^3 - x^2 + x + 1", "--budget-boxes", "1",
+                    "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["status"]) == (2, "unknown")
+        assert report["budget_spent"] == {"grid_levels": 10, "grid_exact_checks": 0,
+                                          "boxes_processed": 1, "boxes_certified": 0}
 
     def test_member_exit_zero(self, capsys):
         code = run(["check-p2", "x^4 - x^2 + x + 1", "--format", "json"])

@@ -11,11 +11,15 @@ from nppreserve import (
     BiPoly,
     Box,
     Budget,
+    DEFAULT_BUDGET,
     Polynomial,
     RatioStatus,
+    RatioVerdict,
     bernstein_tensor,
     certify_ratio,
     check_ratio,
+    check_nonneg_halfline,
+    check_spectral,
     compactify,
     parse_polynomial,
     ratio_value,
@@ -252,6 +256,114 @@ class TestCheckRatio:
         assert verdict.status is RatioStatus.FAILS
         w = verdict.witness
         assert ratio_value(parse_polynomial("x^5 - x^3 + x"), w.rho, w.mu) < 0
+
+
+def serial_check_ratio(p, budget=DEFAULT_BUDGET):
+    """check_ratio in its former serial order, as reference: the fast paths,
+    then every grid level, then the certifier from scratch."""
+    counters = {"grid_levels": 0, "grid_exact_checks": 0,
+                "boxes_processed": 0, "boxes_certified": 0}
+    if p.degree <= 1 and p.coefficient(0) == 0:
+        return RatioVerdict(RatioStatus.HOLDS, certificate="zero-ratio-form",
+                            budget_spent=counters)
+    if all(c >= 0 for k, c in enumerate(p.coeffs) if k != 1):
+        return RatioVerdict(RatioStatus.HOLDS, certificate="nonnegative-coefficients",
+                            budget_spent=counters)
+    even, odd = p.parity_parts()
+    if odd.degree <= 1 and check_nonneg_halfline(even).member:
+        return RatioVerdict(RatioStatus.HOLDS, certificate="linear-odd-part",
+                            budget_spent=counters)
+    witness, grid_counters = cone._scan_grid(p, budget)
+    counters.update(grid_counters)
+    if witness is not None:
+        return RatioVerdict(RatioStatus.FAILS, witness=witness, budget_spent=counters)
+    certified = certify_ratio(p, budget)
+    counters.update(certified.budget_spent)
+    return RatioVerdict(certified.status, certificate=certified.certificate,
+                        budget_spent=counters)
+
+
+GRID_KEYS = ("grid_levels", "grid_exact_checks")
+BOX_KEYS = ("boxes_processed", "boxes_certified")
+
+# spectral members whose cone value rho*mu*(rho^2 - mu^2)*(rho^2 + mu^2 - a)
+# is negative only for rho < sqrt(a): first witness at grid level 4, 6 and 7
+DEEP_REFUTATIONS = [
+    (parse_polynomial("x^5 - 1/100x^3 + x"), 4),
+    (parse_polynomial("x^5 - 1/1000x^3 + x"), 6),
+    (parse_polynomial("x^5 - 1/10000x^3 + x"), 7),
+]
+MEMBER_17_BOXES = parse_polynomial("4/3x^4 + 3/4x^3 - 3/2x^2 + x + 1/2")
+EDGE_NEGATIVE = parse_polynomial("x^2 - 1/1000")  # P(t, 0) < 0; first witness at level 10
+
+
+def assert_same_as_serial(p, budget=DEFAULT_BUDGET):
+    got, want = check_ratio(p, budget), serial_check_ratio(p, budget)
+    assert (got.status, got.witness, got.certificate) == (
+        want.status, want.witness, want.certificate), (str(p), budget)
+    spent, ref = got.budget_spent, want.budget_spent
+    if want.status is RatioStatus.FAILS:
+        # the same grid levels and points, plus the certifier's share
+        assert [spent[k] for k in GRID_KEYS] == [ref[k] for k in GRID_KEYS]
+    elif want.status is RatioStatus.HOLDS and isinstance(want.certificate, tuple):
+        # the same boxes, found before the grid depth is used up
+        assert [spent[k] for k in BOX_KEYS] == [ref[k] for k in BOX_KEYS]
+        assert spent["grid_levels"] <= ref["grid_levels"]
+    else:
+        # fast paths do no search; an unknown ran both searches to the end
+        assert spent == ref, (str(p), budget)
+    return got
+
+
+class TestLockstepAgainstSerial:
+    def test_random_spectral_members(self):
+        rng = random.Random(4242)
+        routes = {}
+        while len(routes) < 24:
+            degree = rng.randint(4, 7)
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(degree)]
+            p = Polynomial(coeffs + [1])
+            if not check_spectral(p).member or isinstance(serial_check_ratio(p).certificate, str):
+                continue
+            routes[str(p)] = assert_same_as_serial(p).status
+        assert set(routes.values()) == {RatioStatus.HOLDS, RatioStatus.FAILS}
+
+    def test_quintic_family(self):
+        # x^5 - a x^3 + b x for a in 1/8..2, b in 1/8..3 with 20b >= 9a^2:
+        # spectral members, all refuted on the cone
+        family = [(Fraction(a, 8), Fraction(b, 8)) for a in range(1, 17)
+                  for b in range(1, 25) if 160 * b >= 9 * a * a]
+        for a, b in family:
+            verdict = assert_same_as_serial(Polynomial((0, b, 0, -a, 0, 1)))
+            assert verdict.status is RatioStatus.FAILS
+
+    @pytest.mark.parametrize("p, level", DEEP_REFUTATIONS)
+    def test_refutations_below_level_three(self, p, level):
+        verdict = assert_same_as_serial(p)
+        assert verdict.status is RatioStatus.FAILS
+        assert verdict.budget_spent["grid_levels"] == level
+        assert verdict.budget_spent["boxes_processed"] > 0
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_grid_depth_budgets(self, depth):
+        # 64 boxes certify both members; with the full box budget a grid too
+        # shallow for the level-4 refutation spends 16384 boxes before unknown
+        budget = Budget(grid_depth=depth, max_boxes=64)
+        for p in (CERTIFY_MEMBER, MEMBER_17_BOXES, QUINTIC, DEEP_REFUTATIONS[0][0],
+                  EDGE_NEGATIVE):
+            assert_same_as_serial(p, budget)
+
+    def test_box_budgets(self):
+        statuses = set()
+        for boxes in range(1, 65):
+            budget = Budget(max_boxes=boxes)
+            for p in (CERTIFY_MEMBER, MEMBER_17_BOXES, DEEP_REFUTATIONS[0][0]):
+                statuses.add(assert_same_as_serial(p, budget).status)
+        assert statuses == set(RatioStatus)
+
+    def test_coefficients_beyond_float_range(self):
+        verdict = assert_same_as_serial(Polynomial((-(10**400), 0, 1)))
+        assert verdict.status is RatioStatus.FAILS
 
 
 class TestBoxValidation:

@@ -20,7 +20,7 @@ from nppreserve import (
     witness_from_ratio,
     witness_from_spectral,
 )
-from conftest import QUARTIC, QUINTIC, random_polynomial
+from conftest import CERTIFY_MEMBER, QUARTIC, QUINTIC, random_polynomial
 
 MONOTONE_BREAKER = parse_polynomial("x^4 - 2x^2 + 1/2*x + 1")  # only p' leaves P1
 
@@ -132,6 +132,20 @@ class TestCheckP2:
         assert v.status is MembershipStatus.NOT_MEMBER
         assert v.witness_matrix.is_nonneg
         assert horner_matrix_eval(MONOTONE_BREAKER, v.witness_matrix).min_entry < 0
+
+    def test_cone_effort_counters(self):
+        # the certifier trails the grid by two levels: the member is certified
+        # after grid level 3 of 10, and the level-4 refutation has already
+        # run the certifier over the boxes of side >= 1/4
+        v = check_p2(CERTIFY_MEMBER)
+        assert v.status is MembershipStatus.MEMBER
+        assert v.budget_spent == {"grid_levels": 3, "grid_exact_checks": 0,
+                                  "boxes_processed": 7, "boxes_certified": 4}
+        v = check_p2(parse_polynomial("x^5 - 1/100x^3 + x"))
+        assert v.status is MembershipStatus.NOT_MEMBER
+        assert v.witness_point == (Fraction(1, 15), Fraction(1, 240))
+        assert v.budget_spent == {"grid_levels": 4, "grid_exact_checks": 12,
+                                  "boxes_processed": 7, "boxes_certified": 2}
 
 
 class TestCheckCirculant:
