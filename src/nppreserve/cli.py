@@ -206,7 +206,6 @@ def parse_polynomial(src: PolySource) -> Polynomial:
 @dataclass
 class RunConfig:
     budget_grid: int = 10
-    budget_boxes: int = 16384
     trials: int = 10000
     seed: int = 0
     precision_bits: int = 128
@@ -214,12 +213,11 @@ class RunConfig:
 
     @property
     def budget(self) -> Budget:
-        return Budget(grid_depth=self.budget_grid, max_boxes=self.budget_boxes)
+        return Budget(grid_depth=self.budget_grid)
 
 
 _ENV_KEYS = {
     "budget_grid": "NP_PRESERVE_BUDGET_GRID",
-    "budget_boxes": "NP_PRESERVE_BUDGET_BOXES",
     "trials": "NP_PRESERVE_TRIALS",
     "seed": "NP_PRESERVE_SEED",
     "precision_bits": "NP_PRESERVE_PRECISION",
@@ -241,7 +239,6 @@ def _resolve_config(args: argparse.Namespace, env=os.environ) -> RunConfig:
                     raise _UsageError(f"{key} must be an integer, got {raw!r}")
     overrides = {
         "budget_grid": args.budget_grid,
-        "budget_boxes": args.budget_boxes,
         "trials": args.trials,
         "seed": args.seed,
         "precision_bits": args.precision,
@@ -254,8 +251,6 @@ def _resolve_config(args: argparse.Namespace, env=os.environ) -> RunConfig:
         raise _UsageError("format must be 'text' or 'json'")
     if config.budget_grid < 1 or config.budget_grid > 24:
         raise _UsageError("budget-grid must be in 1..24")
-    if config.budget_boxes < 1:
-        raise _UsageError("budget-boxes must be positive")
     if config.trials < 1:
         raise _UsageError("trials must be positive")
     if config.seed < 0:
@@ -444,9 +439,7 @@ def build_parser() -> _ArgumentParser:
         cmd.add_argument("--batch", help="file with one polynomial expression per line")
         cmd.add_argument("--format", choices=("text", "json"), default=None)
         cmd.add_argument("--budget-grid", type=int, default=None,
-                         help="refutation grid depth (default 10)")
-        cmd.add_argument("--budget-boxes", type=int, default=None,
-                         help="certification box budget (default 16384)")
+                         help="depth of the cone's witness grid (default 10)")
         cmd.add_argument("--trials", type=int, default=None,
                          help="falsification trials (default 10000)")
         cmd.add_argument("--seed", type=int, default=None, help="oracle seed (default 0)")

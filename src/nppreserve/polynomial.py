@@ -265,7 +265,7 @@ def _pseudo_remainder(f: IntVector, g: IntVector) -> IntVector:
     return r
 
 
-def _gcd(f: IntVector, g: IntVector) -> IntVector:
+def gcd_vector(f: IntVector, g: IntVector) -> IntVector:
     """Primitive gcd of two integer vectors, by a primitive remainder sequence."""
     if len(f) < len(g):
         f, g = g, f
@@ -316,13 +316,13 @@ def _yun(f: IntVector) -> list[tuple[IntVector, int]]:
     needs, so constant factors never have to be tracked.
     """
     df = _derivative(f)
-    a0 = _gcd(f, df)
+    a0 = gcd_vector(f, df)
     b, c = _divide_exact(f, a0), _divide_exact(df, a0)
     out = []
     i = 1
     while len(b) > 1:
         d = _subtract(c, _derivative(b))
-        q = _gcd(b, d)
+        q = gcd_vector(b, d)
         if len(q) > 1:
             out.append((q, i))
         b, c = _divide_exact(b, q), _divide_exact(d, q)
@@ -332,7 +332,7 @@ def _yun(f: IntVector) -> list[tuple[IntVector, int]]:
 
 def radical_vector(f: IntVector) -> IntVector:
     """Square-free part of a nonzero primitive vector: same roots, all simple."""
-    return _divide_exact(f, _gcd(f, _derivative(f)))
+    return _divide_exact(f, gcd_vector(f, _derivative(f)))
 
 
 def odd_part_vector(f: IntVector) -> IntVector:
@@ -383,16 +383,23 @@ def count_unit_roots(f: IntVector) -> int:
     return count_unit_roots(left) + (right[0] == 0) + count_unit_roots(right)
 
 
-def _positive_roots(f: IntVector) -> int:
-    """Distinct roots in (0, inf) of a nonzero square-free vector."""
+def _root_bound_exponent(f: IntVector) -> int:
+    """k >= 1 such that every positive root of the nonzero vector f is below 2^k."""
     if f[-1] < 0:
         f = [-c for c in f]
+    negative = [-c for c in f if c < 0]
+    if not negative:
+        return 1
+    # positive roots lie below 1 + max(-f[k])/f[-1] (negative f[k] only) <= 2^k
+    return max(max(negative).bit_length() - f[-1].bit_length() + 2, 1)
+
+
+def _positive_roots(f: IntVector) -> int:
+    """Distinct roots in (0, inf) of a nonzero square-free vector."""
     v = sign_variations(f)
     if v <= 1:
         return v
-    # positive roots lie below 1 + max(-f[k])/f[-1] (negative f[k] only) <= 2^k
-    top = max(-c for c in f if c < 0).bit_length()
-    k = max(top - f[-1].bit_length() + 2, 1)
+    k = _root_bound_exponent(f)
     return count_unit_roots([c << (k * j) for j, c in enumerate(f)])
 
 
@@ -408,7 +415,8 @@ def _affine(f: IntVector, lo: Fraction, width: Fraction) -> IntVector:
     return [c * e**k for k, c in enumerate(g)] if e != 1 else g
 
 
-def _reflect(f: IntVector) -> IntVector:
+def reflect_vector(f: IntVector) -> IntVector:
+    """The vector of f(-x)."""
     return [-c if k % 2 else c for k, c in enumerate(f)]
 
 
@@ -420,13 +428,89 @@ def count_roots(f: IntVector, lo: Endpoint, hi: Endpoint) -> int:
     """
     if hi == POS_INF:
         if lo == NEG_INF:
-            return _positive_roots(f) + _positive_roots(_reflect(f)) + (f[0] == 0)
+            return _positive_roots(f) + _positive_roots(reflect_vector(f)) + (f[0] == 0)
         return _positive_roots(_affine(f, Fraction(lo), Fraction(1)))
     if lo == NEG_INF:
         return count_roots(f, NEG_INF, POS_INF) - count_roots(f, hi, POS_INF)
     lo = Fraction(lo)
     g = _affine(f, lo, Fraction(hi) - lo)
     return count_unit_roots(g) + (sum(g) == 0)
+
+
+def scaled_value(f: IntVector, x: Fraction) -> int:
+    """den(x)^n * f(x) for an integer vector of degree n: an integer with
+    the sign of f(x)."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(f):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def sign_at(f: IntVector, x: Fraction) -> int:
+    """The sign of f(x): -1, 0 or 1."""
+    v = scaled_value(f, x)
+    return (v > 0) - (v < 0)
+
+
+def _unit_leaves(f: IntVector, lo: Fraction, width: Fraction, out: list) -> None:
+    """The recursion of count_unit_roots, recording where the roots are.
+
+    f on (0, 1) stands for the original vector on (lo, lo + width).  A leaf
+    (lo, hi, False) holds exactly one root in the open interval; (x, x, True)
+    is a root met exactly at a bisection point.  Leaves come in increasing
+    order.
+    """
+    v = sign_variations(_taylor_shift(f[::-1]))
+    if v == 0:
+        return
+    if v == 1:
+        out.append((lo, lo + width, False))
+        return
+    n = len(f) - 1
+    left = [c << (n - k) for k, c in enumerate(f)]
+    right = _taylor_shift(left)
+    half = width / 2
+    _unit_leaves(left, lo, half, out)
+    if right[0] == 0:
+        out.append((lo + half, lo + half, True))
+    _unit_leaves(right, lo + half, half, out)
+
+
+def isolate_roots(f: IntVector) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the real roots of a nonzero square-free vector.
+
+    Returns (lo, hi) pairs in increasing order; each half-open interval
+    (lo, hi] holds exactly one root, and either that root is hi or f(hi) is
+    not zero, so bisection by the sign of f at midpoints refines it.  The
+    intervals come from the Vincent-Collins-Akritas recursion of
+    count_unit_roots run on (-2^k, 2^k), which holds every root.
+    """
+    if len(f) < 2:
+        return []
+    k = max(_root_bound_exponent(f), _root_bound_exponent(reflect_vector(f)))
+    lo, width = Fraction(-(1 << k)), Fraction(1 << (k + 1))
+    leaves: list = []
+    _unit_leaves(_affine(f, lo, width), lo, width, leaves)
+    out = []
+    for lo, hi, exact in leaves:
+        if exact:
+            # no root lies between the previous interval's end and this one
+            lo = out[-1][1] if out else hi - 1
+        elif scaled_value(f, hi) == 0:
+            # hi is the next root, met at a bisection point: pull hi below it.
+            # f has the sign s just left of hi, and -s left of this leaf's root.
+            s = -sign_at(_derivative(f), hi)
+            while True:
+                mid = (lo + hi) / 2
+                v = sign_at(f, mid)
+                if v == 0 or v == s:
+                    hi = mid
+                    break
+                lo = mid
+        out.append((lo, hi))
+    return out
 
 
 # -- the rational interface ---------------------------------------------------

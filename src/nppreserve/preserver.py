@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .cone import Budget, DEFAULT_BUDGET, RatioStatus, check_ratio
+from .cone import Budget, DEFAULT_BUDGET, RatioStatus, SeparationCertificate, check_ratio
 from .halfline import check_nonneg_halfline
 from .matrices import Matrix2
 from .polynomial import Polynomial, count_roots, integer_vector, radical_vector
@@ -184,8 +184,8 @@ def check_p1(p: Polynomial) -> MembershipVerdict:
 def check_p2(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> MembershipVerdict:
     """Preservation of all nonnegative 2x2 matrices.
 
-    Spectral conditions first (always decisive), then the three-valued cone
-    check; UNKNOWN can only propagate from the latter.
+    Spectral conditions first, then the cone check; both are exact and
+    decisive, so the verdict is never UNKNOWN.
     """
     spectral = check_spectral(p)
     if not spectral.member:
@@ -199,8 +199,8 @@ def check_p2(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> MembershipVerdic
         )
     rv = check_ratio(p, budget)
     detail = rv.certificate if isinstance(rv.certificate, str) else None
-    if isinstance(rv.certificate, tuple):
-        detail = f"certified-boxes:{len(rv.certificate)}"
+    if isinstance(rv.certificate, SeparationCertificate):
+        detail = f"critical-points:{len(rv.certificate.roots)}"
     trail = spectral.trail + (TrailEntry("ratio_condition", rv.status.value, detail),)
     if rv.status is RatioStatus.FAILS:
         w = rv.witness
@@ -212,14 +212,9 @@ def check_p2(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> MembershipVerdic
             certificate_trail=trail,
             budget_spent=rv.budget_spent,
         )
-    status = (
-        MembershipStatus.MEMBER
-        if rv.status is RatioStatus.HOLDS
-        else MembershipStatus.UNKNOWN
-    )
     return MembershipVerdict(
         PreserverClass.P2,
-        status,
+        MembershipStatus.MEMBER,
         certificate_trail=trail,
         budget_spent=rv.budget_spent,
     )

@@ -16,6 +16,7 @@ from nppreserve import (
     MembershipStatus,
     Polynomial,
     RatioStatus,
+    SeparationCertificate,
     bernstein_tensor,
     cauchy_bound,
     certify_ratio,
@@ -35,7 +36,14 @@ from nppreserve import (
     ratio_value,
 )
 from nppreserve.cli import run
-from conftest import CERTIFY_MEMBER, QUARTIC, QUINTIC, QUINTIC_DERIV, random_pos_params
+from conftest import (
+    CERTIFY_MEMBER,
+    QUARTIC,
+    QUINTIC,
+    QUINTIC_DERIV,
+    random_pos_params,
+    replay_separation,
+)
 
 
 def _passed(number: int, message: str) -> None:
@@ -180,22 +188,25 @@ def test_ac8_polya_szego_displayed_certificates():
 
 
 def test_ac9_bernstein_certificates_replay(corpus200):
+    # every corpus member that reaches the cone's exact stage has its
+    # separation certificate replayed, and the standalone Bernstein
+    # certifier still certifies it with boxes that replay
     rng = random.Random(991)
-    replayed_boxes = 0
-    holders = []
-    for p in [CERTIFY_MEMBER, Polynomial((0, 0, 1))] + corpus200:
-        verdict = (
-            certify_ratio(p)
-            if p in (CERTIFY_MEMBER, Polynomial((0, 0, 1)))
-            else check_ratio(p)
-        )
-        if verdict.status is RatioStatus.HOLDS and isinstance(verdict.certificate, tuple):
-            holders.append((p, verdict.certificate))
-    assert holders, "no box-certified polynomial in the corpus"
-    for p, boxes in holders:
+    replayed_boxes = replayed_pairs = 0
+    holders = [CERTIFY_MEMBER, Polynomial((0, 0, 1))]
+    for p in corpus200:
+        verdict = check_ratio(p)
+        if isinstance(verdict.certificate, SeparationCertificate):
+            assert verdict.status is RatioStatus.HOLDS
+            replayed_pairs += replay_separation(p, verdict.certificate)
+            holders.append(p)
+    assert len(holders) > 2, "no corpus member reaches the exact stage"
+    for p in holders:
+        certified = certify_ratio(p)
+        assert certified.status is RatioStatus.HOLDS
         bp = compactify(p)
         area = Fraction(0)
-        for box in boxes:
+        for box in certified.certificate:
             area += box.width_t * box.width_r
             replay = bernstein_tensor(bp, box)
             assert replay.min_coefficient >= 0
@@ -205,4 +216,5 @@ def test_ac9_bernstein_certificates_replay(corpus200):
             t = Fraction(rng.randint(1, 127), 128)
             r = Fraction(rng.randint(1, 127), 128)
             assert bp.eval(t, r) >= 0
-    _passed(9, f"replayed {replayed_boxes} certified boxes across {len(holders)} certificates")
+    _passed(9, f"replayed {replayed_pairs} critical-point comparisons and {replayed_boxes} "
+               f"certified boxes across {len(holders)} certificates")

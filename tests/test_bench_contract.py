@@ -14,7 +14,7 @@ import pytest
 
 import nppreserve
 import nppreserve.cli
-from nppreserve import check_p2, check_ratio
+from nppreserve import check_p2, check_ratio, parse_polynomial
 from conftest import CERTIFY_MEMBER, QUINTIC
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,20 +75,24 @@ def test_uninstall_restores_the_program(spans):
     assert (cone._scan_grid, cone.certify_ratio, cone.check_ratio, nppreserve.check_p2) == originals
 
 
-def test_cone_hooks_sum_the_lockstep_calls(spans):
-    # check_ratio calls _scan_grid and certify_ratio once per grid level; the
-    # span hooks add up each call's counters to check_ratio's own totals
-    expected = {key: 0 for key in ("grid_levels", "grid_exact_checks",
-                                   "boxes_processed", "boxes_certified")}
-    for p in (CERTIFY_MEMBER, QUINTIC):
-        for key, value in check_ratio(p).budget_spent.items():
-            expected[key] += value
+def test_cone_hooks_sum_the_grid_calls(spans):
+    # check_ratio scans grid levels 1-2, decides, and on a failure resumes
+    # the grid; the grid hook adds up each call's counters to check_ratio's
+    # own totals, and the Bernstein certifier keeps its span although the
+    # cone check no longer calls it
+    deep = parse_polynomial("x^5 - 1/100x^3 + x")  # witness at grid level 4
+    expected = {"grid_levels": 0, "grid_exact_checks": 0}
+    for p in (CERTIFY_MEMBER, QUINTIC, deep):
+        for key in expected:
+            expected[key] += check_ratio(p).budget_spent[key]
     tracer = spans.Tracer()
     with tracer.active("probe"):
-        for p in (CERTIFY_MEMBER, QUINTIC):
+        for p in (CERTIFY_MEMBER, QUINTIC, deep):
             check_p2(p)
     count = tracer.counts["probe"]
-    assert {key: count[key] for key in expected} == expected
-    assert (count["route_bernstein"], count["route_grid"]) == (1, 1)
+    assert {key: count[key] for key in expected} == expected == {
+        "grid_levels": 2 + 1 + 4, "grid_exact_checks": 0 + 1 + 12}
+    assert count["route_grid"] == 2  # the quintic and the deep refutation
     calls = tracer.totals("probe")[0]
-    assert calls["cone.grid"] > 2 and calls["cone.bernstein"] > 0
+    assert calls["cone.ratio"] == 3 and calls["cone.grid"] == 1 + 1 + 2
+    assert "cone.bernstein" in tracer.traced

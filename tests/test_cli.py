@@ -85,37 +85,37 @@ class TestReports:
         names = [e["name"] for e in report["trail"]]
         assert names == ["p_prime_in_P1", "p_even_in_P1", "p_odd_in_P1", "ratio_condition"]
         assert report["budget_spent"] == {"grid_levels": 1, "grid_exact_checks": 1,
-                                          "boxes_processed": 0, "boxes_certified": 0}
+                                          "critical_points": 0, "critical_pairs": 0,
+                                          "bisections": 0, "ties": 0}
 
     def test_cone_effort_counters(self, capsys):
         code = run(["check-p2", "x^4 + x^3 - x^2 + x + 1", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert (code, report["status"]) == (0, "member")
-        assert report["trail"][-1]["detail"] == "certified-boxes:4"
-        assert report["budget_spent"] == {"grid_levels": 3, "grid_exact_checks": 0,
-                                          "boxes_processed": 7, "boxes_certified": 4}
+        assert report["trail"][-1]["detail"] == "critical-points:2"
+        assert report["budget_spent"] == {"grid_levels": 2, "grid_exact_checks": 0,
+                                          "critical_points": 2, "critical_pairs": 0,
+                                          "bisections": 4, "ties": 0}
         code = run(["check-p2", "x^5 - 1/100x^3 + x", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert (code, report["status"]) == (1, "not_member")
         assert report["witness_point"] == ["1/15", "1/240"]
         assert report["budget_spent"] == {"grid_levels": 4, "grid_exact_checks": 12,
-                                          "boxes_processed": 7, "boxes_certified": 2}
+                                          "critical_points": 2, "critical_pairs": 1,
+                                          "bisections": 10, "ties": 0}
 
     def test_small_budgets_on_a_member(self, capsys):
-        # a one-level grid still leaves the certifier its whole box budget;
-        # a one-box budget cannot certify, and the grid then runs all levels
+        # a one-level grid bounds only the witness search, not the verdict
         code = run(["check-p2", "x^4 + x^3 - x^2 + x + 1", "--budget-grid", "1",
                     "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert (code, report["status"]) == (0, "member")
         assert report["budget_spent"] == {"grid_levels": 1, "grid_exact_checks": 0,
-                                          "boxes_processed": 7, "boxes_certified": 4}
-        code = run(["check-p2", "x^4 + x^3 - x^2 + x + 1", "--budget-boxes", "1",
-                    "--format", "json"])
-        report = json.loads(capsys.readouterr().out)
-        assert (code, report["status"]) == (2, "unknown")
-        assert report["budget_spent"] == {"grid_levels": 10, "grid_exact_checks": 0,
-                                          "boxes_processed": 1, "boxes_certified": 0}
+                                          "critical_points": 2, "critical_pairs": 0,
+                                          "bisections": 4, "ties": 0}
+        # there is no box budget any more
+        assert run(["check-p2", "x^4 + x^3 - x^2 + x + 1", "--budget-boxes", "1"]) == 64
+        capsys.readouterr()
 
     def test_member_exit_zero(self, capsys):
         code = run(["check-p2", "x^4 - x^2 + x + 1", "--format", "json"])
@@ -198,16 +198,25 @@ class TestReports:
         assert report["witness_matrix"] == [["0", "1"], ["1/2", "1/2"]]
 
     def test_unknown_exit_code(self, capsys):
-        # quintic edges pass but the inside is genuinely negative: with a
-        # tiny refutation grid the verdict stays unknown
-        code = run(["check-p2", "x^5 - 2x^3 + 2x", "--budget-grid", "1",
-                    "--budget-boxes", "4", "--format", "json"])
-        report = json.loads(capsys.readouterr().out)
-        assert (code, report["status"]) == (1, "not_member")  # level 1 already refutes
-        code = run(["check-p2", "x^5 - 3x^3 + 9/4*x", "--budget-grid", "1",
-                    "--budget-boxes", "2", "--format", "json"])
-        report = json.loads(capsys.readouterr().out)
-        assert code in (1, 2)
+        # check-p2 never exits 2: the cone decision is exact, and the grid
+        # depth bounds only the search for a canonical witness
+        cases = [
+            ("x^5 - 2x^3 + 2x", 1),  # level 1 refutes
+            ("x^5 - 3x^3 + 9/4*x", 1),  # spectral failure
+            ("x^5 - 1/100x^3 + x", 1),  # witness beyond the grid: from the critical pair
+            ("3/2x^4 + 3/2x^3 - 9/4x^2 + 3x + 27/32", 0),  # touches zero on the diagonal
+            ("x^8 + 2x^7 - 6x^6 - 18x^5 + 5x^4 + 36x^3 + 20x^2 + 125x", 0),  # interior touch
+        ]
+        for expression, expected in cases:
+            code = run(["check-p2", expression, "--budget-grid", "1", "--format", "json"])
+            report = json.loads(capsys.readouterr().out)
+            assert code == expected, expression
+            if code == 1:
+                entry = report["image_negative_entry"]
+                assert Fraction(entry["value"]) < 0
+        # falsify still reports unknown when it finds nothing
+        assert run(["falsify", "x^2", "--trials", "10", "--format", "json"]) == 2
+        capsys.readouterr()
 
 
 class TestBatchAndConfig:

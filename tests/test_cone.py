@@ -1,6 +1,10 @@
-"""Cone inequality: exact values, compactification, Bernstein certification."""
+"""Cone inequality: exact values, compactification, Bernstein certification,
+and the exact separation decision."""
 
 import random
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -15,6 +19,7 @@ from nppreserve import (
     Polynomial,
     RatioStatus,
     RatioVerdict,
+    SeparationCertificate,
     bernstein_tensor,
     certify_ratio,
     check_ratio,
@@ -26,7 +31,7 @@ from nppreserve import (
     refute_ratio,
 )
 from nppreserve import cone
-from conftest import CERTIFY_MEMBER, QUARTIC, QUINTIC, random_polynomial
+from conftest import CERTIFY_MEMBER, QUARTIC, QUINTIC, random_polynomial, replay_separation
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 poly_st = st.lists(fractions_st, max_size=7).map(Polynomial)
@@ -240,9 +245,11 @@ class TestCheckRatio:
         assert verdict.certificate == "nonnegative-coefficients"
 
     def test_certifier_route(self):
+        # past the fast paths and the coarse grid, the exact decision certifies
         verdict = check_ratio(CERTIFY_MEMBER)
         assert verdict.status is RatioStatus.HOLDS
-        assert isinstance(verdict.certificate, tuple)
+        assert isinstance(verdict.certificate, SeparationCertificate)
+        assert replay_separation(CERTIFY_MEMBER, verdict.certificate) > 0
 
     def test_fast_paths_never_contradicted(self, corpus200):
         for p in corpus200:
@@ -284,7 +291,6 @@ def serial_check_ratio(p, budget=DEFAULT_BUDGET):
 
 
 GRID_KEYS = ("grid_levels", "grid_exact_checks")
-BOX_KEYS = ("boxes_processed", "boxes_certified")
 
 # spectral members whose cone value rho*mu*(rho^2 - mu^2)*(rho^2 + mu^2 - a)
 # is negative only for rho < sqrt(a): first witness at grid level 4, 6 and 7
@@ -294,28 +300,41 @@ DEEP_REFUTATIONS = [
     (parse_polynomial("x^5 - 1/10000x^3 + x"), 7),
 ]
 MEMBER_17_BOXES = parse_polynomial("4/3x^4 + 3/4x^3 - 3/2x^2 + x + 1/2")
-EDGE_NEGATIVE = parse_polynomial("x^2 - 1/1000")  # P(t, 0) < 0; first witness at level 10
+EDGE_NEGATIVE = parse_polynomial("x^2 - 1/1000")  # P(t, 0) < 0; first witness at level 4
+
+
+def assert_exact(p, verdict):
+    """A FAILS witness is an exact cone violation; a separation certificate
+    replays."""
+    if verdict.status is RatioStatus.FAILS:
+        w = verdict.witness
+        assert 0 < w.mu <= w.rho and ratio_value(p, w.rho, w.mu) == w.value < 0, str(p)
+    else:
+        assert verdict.status is RatioStatus.HOLDS, str(p)
+        if isinstance(verdict.certificate, SeparationCertificate):
+            replay_separation(p, verdict.certificate)
 
 
 def assert_same_as_serial(p, budget=DEFAULT_BUDGET):
+    """check_ratio never says unknown, and agrees with the reference wherever
+    the reference is decisive: the same status and witness, and on a
+    refutation the same grid levels and points."""
     got, want = check_ratio(p, budget), serial_check_ratio(p, budget)
-    assert (got.status, got.witness, got.certificate) == (
-        want.status, want.witness, want.certificate), (str(p), budget)
+    assert_exact(p, got)
+    if want.status is RatioStatus.UNKNOWN:
+        return got
+    assert (got.status, got.witness) == (want.status, want.witness), (str(p), budget)
     spent, ref = got.budget_spent, want.budget_spent
     if want.status is RatioStatus.FAILS:
-        # the same grid levels and points, plus the certifier's share
         assert [spent[k] for k in GRID_KEYS] == [ref[k] for k in GRID_KEYS]
-    elif want.status is RatioStatus.HOLDS and isinstance(want.certificate, tuple):
-        # the same boxes, found before the grid depth is used up
-        assert [spent[k] for k in BOX_KEYS] == [ref[k] for k in BOX_KEYS]
-        assert spent["grid_levels"] <= ref["grid_levels"]
-    else:
-        # fast paths do no search; an unknown ran both searches to the end
-        assert spent == ref, (str(p), budget)
+    elif isinstance(want.certificate, str):
+        assert got.certificate == want.certificate
     return got
 
 
 class TestLockstepAgainstSerial:
+    """check_ratio against the former grid-plus-Bernstein pipeline."""
+
     def test_random_spectral_members(self):
         rng = random.Random(4242)
         routes = {}
@@ -333,37 +352,217 @@ class TestLockstepAgainstSerial:
         # spectral members, all refuted on the cone
         family = [(Fraction(a, 8), Fraction(b, 8)) for a in range(1, 17)
                   for b in range(1, 25) if 160 * b >= 9 * a * a]
+        assert len(family) == 307
         for a, b in family:
             verdict = assert_same_as_serial(Polynomial((0, b, 0, -a, 0, 1)))
             assert verdict.status is RatioStatus.FAILS
 
     @pytest.mark.parametrize("p, level", DEEP_REFUTATIONS)
     def test_refutations_below_level_three(self, p, level):
+        # the decision fails on the pair of critical points +-sqrt(a/2), then
+        # the grid resumes at level 3 and finds the canonical witness
         verdict = assert_same_as_serial(p)
         assert verdict.status is RatioStatus.FAILS
         assert verdict.budget_spent["grid_levels"] == level
-        assert verdict.budget_spent["boxes_processed"] > 0
+        assert verdict.budget_spent["critical_points"] == 2
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_grid_depth_budgets(self, depth):
-        # 64 boxes certify both members; with the full box budget a grid too
-        # shallow for the level-4 refutation spends 16384 boxes before unknown
+        # a grid too shallow for the witness leaves the reference unknown;
+        # check_ratio then takes its witness from the failing pair
         budget = Budget(grid_depth=depth, max_boxes=64)
         for p in (CERTIFY_MEMBER, MEMBER_17_BOXES, QUINTIC, DEEP_REFUTATIONS[0][0],
                   EDGE_NEGATIVE):
             assert_same_as_serial(p, budget)
 
     def test_box_budgets(self):
-        statuses = set()
-        for boxes in range(1, 65):
-            budget = Budget(max_boxes=boxes)
-            for p in (CERTIFY_MEMBER, MEMBER_17_BOXES, DEEP_REFUTATIONS[0][0]):
-                statuses.add(assert_same_as_serial(p, budget).status)
-        assert statuses == set(RatioStatus)
+        # check_ratio does not read the box budget; the reference does, and
+        # cannot certify a member with one box
+        for p in (CERTIFY_MEMBER, MEMBER_17_BOXES):
+            assert serial_check_ratio(p, Budget(max_boxes=1)).status is RatioStatus.UNKNOWN
+        for p in (CERTIFY_MEMBER, MEMBER_17_BOXES, DEEP_REFUTATIONS[0][0]):
+            default = check_ratio(p)
+            for boxes in (1, 2, 7, 64):
+                verdict = assert_same_as_serial(p, Budget(max_boxes=boxes))
+                assert verdict == default
+
+    def test_corpus(self, corpus200):
+        for p in corpus200:
+            assert_same_as_serial(p, Budget(max_boxes=256))
 
     def test_coefficients_beyond_float_range(self):
         verdict = assert_same_as_serial(Polynomial((-(10**400), 0, 1)))
         assert verdict.status is RatioStatus.FAILS
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the block runs past seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not decided within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+X = Polynomial.x()
+
+
+def interior_touch(b, d, c):
+    """c*x + x^2 (x+1)^2 (x-2)^2 (x^2 + b x + d): phi(z) - c vanishes to
+    second order at z = -1 and z = 2, so the cone value is 0 at (2, 1)."""
+    square = X * (X + Polynomial((1,))) * (X - Polynomial((2,)))
+    return square * square * Polynomial((d, b, 1)) + Polynomial((0, c))
+
+
+INTERIOR_TOUCH = interior_touch(4, 5, 125)
+# 5*x + x^2 (x^2 - x - 1)^2 (x^2 + 1): the cone value is
+# rho*mu*(rho*g(rho)^2*(rho^2 + 1) + mu*g(-mu)^2*(mu^2 + 1)) with g the golden
+# quadratic, zero at rho = (1 + sqrt(5))/2, mu = (sqrt(5) - 1)/2
+GOLDEN = Polynomial((-1, -1, 1))
+GOLDEN_TOUCH = X * X * GOLDEN * GOLDEN * Polynomial((1, 0, 1)) + Polynomial((0, 5))
+EDGE_TOUCH = parse_polynomial("x^6 + 2x^5 - 3x^4 - 4x^3 + 4x^2 + 2x")
+
+# members the box certifier cannot finish: each touches zero where no
+# dyadic box corner lies
+TOUCHING_MEMBERS = [
+    parse_polynomial("3/2x^4 + 3/2x^3 - 9/4x^2 + 3x + 27/32"),  # diagonal, sqrt(3)/2
+    parse_polynomial("x^4 + 2/3x^3 - x^2 + 4/3x + 1/4"),  # diagonal, 1/sqrt(2)
+    INTERIOR_TOUCH,
+    interior_touch(6, 10, 200),
+    interior_touch(8, 17, 290),
+    interior_touch(10, 26, 395),
+    EDGE_TOUCH,
+]
+
+
+def decide(p, seconds=0.5):
+    start = time.perf_counter()
+    with deadline(5):
+        verdict = check_ratio(p)
+    assert time.perf_counter() - start < seconds, str(p)
+    assert_exact(p, verdict)
+    return verdict
+
+
+class TestSeparation:
+    @pytest.mark.parametrize("p", TOUCHING_MEMBERS, ids=str)
+    def test_touching_members_hold(self, p):
+        assert check_spectral(p).member
+        verdict = decide(p)
+        assert verdict.status is RatioStatus.HOLDS
+        assert isinstance(verdict.certificate, SeparationCertificate)
+
+    def test_dyadic_touch_is_an_exact_equality(self):
+        # the critical points -1 and 2 are met exactly by bisection, and
+        # phi(-1) = phi(2) = a1 = c
+        for b, d, c in ((4, 5, 125), (6, 10, 200), (8, 17, 290), (10, 26, 395)):
+            p = interior_touch(b, d, c)
+            assert ratio_value(p, 2, 1) == 0
+            cert = decide(p).certificate
+            assert {"equal", "edge-tie"} <= {x.kind for x in cert.comparisons}
+
+    def test_irrational_touch_needs_the_resultant(self):
+        # the critical points (1 -+ sqrt(5))/2 are never met exactly, so only
+        # the roots of R decide phi(z1) = phi(z2)
+        cert = decide(GOLDEN_TOUCH).certificate
+        assert {"tie", "edge-tie"} <= {x.kind for x in cert.comparisons}
+        assert len(cert.critical_values) > 1
+
+    def test_perturbed_irrational_touch_fails(self):
+        p = GOLDEN_TOUCH - Polynomial.monomial(3, Fraction(1, 10**4))
+        assert decide(p).status is RatioStatus.FAILS
+        p = GOLDEN_TOUCH + Polynomial.monomial(3, Fraction(1, 10**4))
+        assert decide(p).status is RatioStatus.HOLDS
+
+    def test_edge_touch_needs_the_gcd(self):
+        cert = decide(EDGE_TOUCH).certificate
+        assert "edge-tie" in {c.kind for c in cert.comparisons}
+
+    def test_perturbed_interior_touch_fails(self):
+        p = INTERIOR_TOUCH - Polynomial.monomial(4, Fraction(1, 10**6))
+        assert ratio_value(p, 2, 1) == Fraction(-9, 500000)
+        assert check_spectral(p).member
+        verdict = decide(p)
+        assert verdict.status is RatioStatus.FAILS
+        assert verdict.budget_spent["grid_levels"] == 10  # no grid point is negative
+
+    def test_edge_condition_alone_refutes(self):
+        # phi(z2) < a1 at a positive critical point; every pair separates
+        p = EDGE_TOUCH - Polynomial.monomial(2, Fraction(1, 1000))
+        assert check_spectral(p).member
+        verdict = decide(p)
+        assert verdict.status is RatioStatus.FAILS
+        w = verdict.witness
+        assert w.mu < w.rho / 1000  # near the edge mu = 0
+
+    def test_direct_calls_outside_the_claim(self):
+        # even part not in P1: the diagonal fails
+        p = parse_polynomial("x^5 - x^3 - x^2 + x")
+        with deadline(5):
+            verdict = cone._decide_separated(p)
+        assert verdict.status is RatioStatus.FAILS and verdict.witness.mu == verdict.witness.rho
+        assert_exact(p, verdict)
+        # a_m < 0: phi(rho) -> -inf
+        p = parse_polynomial("-x^5 + x^4 + x^2")
+        verdict = cone._decide_separated(p)
+        assert verdict.status is RatioStatus.FAILS
+        assert_exact(p, verdict)
+        # degree below 2 with a0 >= 0
+        for p in (Polynomial((1, -3)), Polynomial((0, -1)), Polynomial(())):
+            verdict = cone._decide_separated(p)
+            assert verdict.status is RatioStatus.HOLDS
+            assert verdict.certificate.comparisons == ()
+
+    def test_decision_against_serial_on_random_polynomials(self):
+        # direct calls on inputs that are not spectral members
+        rng = random.Random(77)
+        statuses = set()
+        for _ in range(150):
+            p = random_polynomial(rng)
+            with deadline(5):
+                verdict = cone._decide_separated(p)
+            assert_exact(p, verdict)
+            want = serial_check_ratio(p, Budget(max_boxes=256))
+            if want.status is not RatioStatus.UNKNOWN:
+                assert verdict.status is want.status, str(p)
+            statuses.add(verdict.status)
+        assert statuses == {RatioStatus.HOLDS, RatioStatus.FAILS}
+
+
+def _det(rows):
+    rows = [list(r) for r in rows]
+    n, det = len(rows), Fraction(1)
+    for i in range(n):
+        pivot = next((k for k in range(i, n) if rows[k][i] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            det = -det
+        det *= rows[i][i]
+        for k in range(i + 1, n):
+            f = rows[k][i] / rows[i][i]
+            rows[k] = [a - f * b for a, b in zip(rows[k], rows[i])]
+    return det
+
+
+class TestCharacteristicPolynomial:
+    def test_against_determinants(self):
+        rng = random.Random(5)
+        for n in range(1, 7):
+            for _ in range(6):
+                a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * (rng.random() < 0.7)
+                      for _ in range(n)] for _ in range(n)]
+                coeffs = cone._charpoly(a)
+                for c in (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5)):
+                    shifted = [[c * (i == j) - a[i][j] for j in range(n)] for i in range(n)]
+                    assert Polynomial(coeffs)(c) == _det(shifted)
 
 
 class TestBoxValidation:

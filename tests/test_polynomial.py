@@ -18,6 +18,7 @@ from nppreserve import (
     square_free_decompose,
     sturm_count,
 )
+from nppreserve.polynomial import count_roots, integer_vector, isolate_roots, radical_vector
 from conftest import QUARTIC, QUARTIC_DERIV, QUINTIC, QUINTIC_DERIV, random_polynomial
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -381,7 +382,42 @@ def _reference_cases():
 REFERENCE_CASES = _reference_cases()
 
 
+def _assert_isolates(p):
+    """isolate_roots on the square-free part f of p against count_roots and
+    the reference Sturm count: one interval per real root, each holding
+    exactly one, in increasing order, and refinable by the sign of f at hi."""
+    f = radical_vector(integer_vector(p))
+    intervals = isolate_roots(f)
+    assert len(intervals) == _ref_count(p, NEG_INF, POS_INF)
+    for lo, hi in intervals:
+        assert lo < hi
+        assert count_roots(f, lo, hi) == 1 == _ref_count(p, lo, hi), (lo, hi)
+        if p(hi) != 0:
+            mid, g = (lo + hi) / 2, Polynomial(f)
+            keep = (lo, mid) if _sign(g(mid)) in (0, _sign(g(hi))) else (mid, hi)
+            assert _ref_count(p, *keep) == 1
+    for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
+        assert hi <= lo
+    return intervals
+
+
 class TestKernelAgainstReference:
+    @pytest.mark.parametrize("p, points", REFERENCE_CASES)
+    def test_isolating_intervals(self, p, points):
+        intervals = _assert_isolates(p)
+        # a constructed rational root sits in exactly one interval
+        for x in points:
+            if p(x) == 0:
+                assert sum(lo < x <= hi for lo, hi in intervals) == 1
+
+    def test_isolating_intervals_at_bisection_points(self):
+        # roots at 0 and at dyadic midpoints are met exactly by the recursion
+        p = _product_of_roots([Fraction(0), Fraction(1, 2), Fraction(-1, 4), Fraction(2),
+                               Fraction(2, 3), Fraction(-5)])
+        intervals = _assert_isolates(p)
+        assert [hi for lo, hi in intervals if p(hi) == 0][:3] == [Fraction(-1, 4), 0, Fraction(1, 2)]
+        assert isolate_roots([1]) == [] and isolate_roots([1, 0, 1]) == []
+
     @pytest.mark.parametrize("p, points", REFERENCE_CASES)
     def test_counts(self, p, points):
         ends = [NEG_INF] + sorted(set(points)) + [POS_INF]
@@ -411,6 +447,8 @@ class TestKernelAgainstReference:
         assert square_free_decompose(p) == _ref_square_free(p)
         v = check_nonneg_halfline(p)
         assert (v.member, v.witness, v.trace) == _ref_halfline(p)
+        if p.degree >= 1:
+            _assert_isolates(p)
 
 
 class TestCauchyBound:
