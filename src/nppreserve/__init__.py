@@ -7,9 +7,7 @@ analytic checkers.
 """
 
 from .cone import (
-    BernsteinBox,
     BiPoly,
-    Box,
     Budget,
     Comparison,
     ConeWitness,
@@ -17,12 +15,10 @@ from .cone import (
     RatioStatus,
     RatioVerdict,
     SeparationCertificate,
-    bernstein_tensor,
     certify_ratio,
     check_ratio,
     compactify,
     ratio_value,
-    refute_ratio,
 )
 from .halfline import (
     CertificateNotFound,
@@ -70,9 +66,7 @@ from .cli import ParseError, UnsupportedCoefficient, parse_polynomial
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernsteinBox",
     "BiPoly",
-    "Box",
     "Budget",
     "CertificateNotFound",
     "Comparison",
@@ -96,7 +90,6 @@ __all__ = [
     "SpectralResult",
     "TrailEntry",
     "UnsupportedCoefficient",
-    "bernstein_tensor",
     "cauchy_bound",
     "certify_ratio",
     "check_circulant2",
@@ -116,7 +109,6 @@ __all__ = [
     "posmatrix_generate",
     "radical",
     "ratio_value",
-    "refute_ratio",
     "scramble_similarity",
     "square_free_decompose",
     "sturm_count",

@@ -301,7 +301,7 @@ def _membership_report(p: Polynomial, verdict: MembershipVerdict) -> dict:
 def _run_command(command: str, p: Polynomial, config: RunConfig) -> dict:
     if command == "check-p1":
         return _membership_report(p, check_p1(p))
-    if command in ("check-p2", "witness"):
+    if command == "check-p2":
         return _membership_report(p, check_p2(p, config.budget))
     if command == "check-circulant":
         return _membership_report(p, check_circulant2(p))
@@ -430,7 +430,6 @@ def build_parser() -> _ArgumentParser:
         "p3-screen": "necessary coefficient screen for 3x3 preservation",
         "falsify": "randomized search for a violating nonnegative matrix",
         "certificate": "half-line nonnegativity decomposition with exact residual",
-        "witness": "membership check focused on the witness matrix",
     }
     for name, help_text in descriptions.items():
         cmd = sub.add_parser(name, help=help_text)

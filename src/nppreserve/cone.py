@@ -40,7 +40,7 @@ not in P1 it fails on the diagonal; if m >= 2 and a_m < 0, phi(rho) -> -inf
 as rho -> inf for a fixed mu.  If m < 2 and a0 >= 0 the value is
 a0*(rho + mu) >= 0.
 
-_decide_separated checks (a) and (b) on the isolating intervals of the real
+certify_ratio checks (a) and (b) on the isolating intervals of the real
 roots of the square-free part of M (the factor z removed).  It bisects
 intervals until enclosures of p' on them separate.  Exact equalities never
 separate, and are decided by exact algebra instead:
@@ -54,7 +54,8 @@ separate, and are decided by exact algebra instead:
 check_ratio takes exact fast paths first, then scans the dyadic grid of
 the compactified form (below) for a canonical witness, runs the decision,
 and on a failure resumes the grid; only if no grid point is negative does
-the witness come from the failing pair's intervals.
+the witness come from the failing pair's intervals, as the rationals with
+the smallest denominators inside them.
 
 The substitution mu = t*rho, rho = r/(1-r) compactifies the cone onto the
 unit square:
@@ -63,14 +64,11 @@ unit square:
             = (1 - r)^m * (rho*p(-mu) + mu*p(rho)) / rho,
 
 so the inequality holds on the open cone iff P >= 0 on [0, 1]^2 (by
-continuity).  certify_ratio proves P >= 0 by tensor Bernstein coefficients
-on subdivided boxes plus exact univariate checks of the four edges, within
-a box budget; it is a standalone certifier that check_ratio does not call.
+continuity).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -84,11 +82,9 @@ from .polynomial import (
     IntVector,
     Polynomial,
     count_roots,
-    count_unit_roots,
     gcd_vector,
     integer_vector,
     isolate_roots,
-    odd_part_vector,
     radical_vector,
     reflect_vector,
     scaled_value,
@@ -183,154 +179,25 @@ def compactify(p: Polynomial) -> BiPoly:
     return BiPoly(grid)
 
 
-# -- tensor Bernstein form ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned sub-box of the unit square with rational endpoints."""
-
-    t_lo: Fraction
-    t_hi: Fraction
-    r_lo: Fraction
-    r_hi: Fraction
-
-    def __post_init__(self):
-        if not (0 <= self.t_lo < self.t_hi <= 1 and 0 <= self.r_lo < self.r_hi <= 1):
-            raise ValueError("box must be a nondegenerate sub-box of the unit square")
-
-    @property
-    def width_t(self) -> Fraction:
-        return self.t_hi - self.t_lo
-
-    @property
-    def width_r(self) -> Fraction:
-        return self.r_hi - self.r_lo
-
-
-UNIT_BOX = Box(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
-
-
-def _decasteljau_rows(b: list[Fraction], s: Fraction) -> list[list[Fraction]]:
-    rows = [list(b)]
-    while len(rows[-1]) > 1:
-        prev = rows[-1]
-        rows.append([(1 - s) * prev[i] + s * prev[i + 1] for i in range(len(prev) - 1)])
-    return rows
-
-
-def _subdivide(b: list[Fraction], s: Fraction) -> tuple[list[Fraction], list[Fraction]]:
-    """Split Bernstein coefficients at parameter s into left/right segments."""
-    rows = _decasteljau_rows(b, s)
-    n = len(b) - 1
-    left = [rows[k][0] for k in range(n + 1)]
-    right = [rows[n - k][k] for k in range(n + 1)]
-    return left, right
-
-
-def _restrict(b: list[Fraction], lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """Bernstein coefficients on [0,1] -> coefficients on [lo, hi]."""
-    if lo > 0:
-        b = _subdivide(b, lo)[1]
-    if hi < 1:
-        b = _subdivide(b, (hi - lo) / (1 - lo))[0]
-    return list(b)
-
-
-def _power_to_bernstein(c: list[Fraction]) -> list[Fraction]:
-    n = len(c) - 1
-    return [
-        sum(Fraction(comb(i, k), comb(n, k)) * c[k] for k in range(i + 1))
-        for i in range(n + 1)
-    ]
-
-
-def _map_axis0(mat, fn):
-    cols = [fn([row[j] for row in mat]) for j in range(len(mat[0]))]
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-
-
-def _map_axis1(mat, fn):
-    return [fn(list(row)) for row in mat]
-
-
-@dataclass(frozen=True)
-class BernsteinBox:
-    """Exact tensor Bernstein coefficients of a bivariate polynomial on a box.
-
-    All coefficients >= 0 proves the polynomial nonnegative on the closed
-    box; the corner coefficients equal the polynomial's corner values.
-    """
-
-    box: Box
-    coeffs: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def min_coefficient(self) -> Fraction:
-        return min(min(row) for row in self.coeffs)
-
-    def split(self) -> tuple["BernsteinBox", "BernsteinBox"]:
-        """Halve along the longer side (ties split the t axis) by de Casteljau."""
-        mat = [list(row) for row in self.coeffs]
-        box = self.box
-        half = Fraction(1, 2)
-        if box.width_t >= box.width_r:
-            mid = (box.t_lo + box.t_hi) / 2
-            pieces = [_subdivide([row[j] for row in mat], half) for j in range(len(mat[0]))]
-            n = len(mat)
-            left = [[pieces[j][0][i] for j in range(len(pieces))] for i in range(n)]
-            right = [[pieces[j][1][i] for j in range(len(pieces))] for i in range(n)]
-            return (
-                BernsteinBox(Box(box.t_lo, mid, box.r_lo, box.r_hi), _freeze(left)),
-                BernsteinBox(Box(mid, box.t_hi, box.r_lo, box.r_hi), _freeze(right)),
-            )
-        mid = (box.r_lo + box.r_hi) / 2
-        pieces = [_subdivide(list(row), half) for row in mat]
-        left = [piece[0] for piece in pieces]
-        right = [piece[1] for piece in pieces]
-        return (
-            BernsteinBox(Box(box.t_lo, box.t_hi, box.r_lo, mid), _freeze(left)),
-            BernsteinBox(Box(box.t_lo, box.t_hi, mid, box.r_hi), _freeze(right)),
-        )
-
-
-def _freeze(mat) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row) for row in mat)
-
-
-def bernstein_tensor(bp: BiPoly, box: Box = UNIT_BOX) -> BernsteinBox:
-    """Exact tensor Bernstein coefficients of bp restricted to box."""
-    if bp.is_zero:
-        return BernsteinBox(box, ((Fraction(0),),))
-    mat = [list(row) for row in bp.coeffs]
-    mat = _map_axis0(mat, _power_to_bernstein)
-    mat = _map_axis1(mat, _power_to_bernstein)
-    mat = _map_axis0(mat, lambda col: _restrict(col, box.t_lo, box.t_hi))
-    mat = _map_axis1(mat, lambda row: _restrict(row, box.r_lo, box.r_hi))
-    return BernsteinBox(box, _freeze(mat))
-
-
 # -- verdicts and budgets ----------------------------------------------------
 
 
 class RatioStatus(str, Enum):
     HOLDS = "holds"
     FAILS = "fails"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Search budgets: dyadic grid depth of check_ratio's witness search, box
-    count of certify_ratio."""
+    """Search budget: the depth of the dyadic grid that check_ratio searches
+    for a canonical witness.  It bounds that search, never the verdict."""
 
     grid_depth: int = 10
-    max_boxes: int = 16384
 
 
 DEFAULT_BUDGET = Budget()
 
-Certificate = Union[str, tuple[Box, ...], "SeparationCertificate", None]
+Certificate = Union[str, "SeparationCertificate", None]
 
 
 @dataclass(frozen=True)
@@ -376,7 +243,8 @@ def _scan_grid(
     nonnegative (via a rigorous rounding-error bound) is re-evaluated with
     exact arithmetic in lexicographic (t, r) order, so the reported witness
     is the coarsest-level lexicographic-first negative grid point, exactly
-    as an all-exact scan would report.
+    as an all-exact scan would report.  Every grid point maps back to a
+    point 0 < mu <= rho of the cone.
 
     A given scan state resumes after its last level and is advanced; either
     way the search stops after level budget.grid_depth.  The counters are
@@ -414,104 +282,6 @@ def _scan_grid(
                 assert value < 0 and 0 < mu <= rho
                 return ConeWitness(rho=rho, mu=mu, value=value), counters
     return None, counters
-
-
-def refute_ratio(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> Optional[ConeWitness]:
-    """Search dyadic grids of doubling resolution for an exact violation.
-
-    Edge negatives (t = 0 or r = 0) are never produced: the grid lives on
-    (0,1] x (0,1), where every point maps back to a valid cone point.
-    """
-    return _scan_grid(p, budget)[0]
-
-
-# -- certification -----------------------------------------------------------
-
-
-def _nonneg_on_unit_interval(q: Polynomial) -> bool:
-    """Exact test of q >= 0 on [0, 1].
-
-    With both endpoint values nonnegative and no odd-multiplicity root
-    strictly inside, the sign is constant on (0, 1) apart from touch points,
-    so one interior non-root sample decides.
-    """
-    if q.is_zero:
-        return True
-    if q(0) < 0 or q(1) < 0:
-        return False
-    if count_unit_roots(odd_part_vector(integer_vector(q))) > 0:
-        return False
-    x = Fraction(1, 2)
-    while q(x) == 0:
-        x = x / 2
-    return q(x) > 0
-
-
-def _edge_polynomials(bp: BiPoly) -> list[tuple[str, Polynomial]]:
-    rows = bp.coeffs
-    return [
-        ("r=0", Polynomial(row[0] for row in rows)),
-        ("t=0", Polynomial(rows[0])),
-        ("r=1", Polynomial(sum(row) for row in rows)),
-        ("t=1", Polynomial(sum(col) for col in zip(*rows))),
-    ]
-
-
-class _BoxSearch:
-    """Resume state of certify_ratio: the breadth-first box queue (None
-    until the edges are checked) and the boxes certified and processed so
-    far."""
-
-    def __init__(self, bp: BiPoly):
-        self.bp = bp
-        self.queue: Optional[deque] = None
-        self.edge_negative: Optional[str] = None
-        self.certified: list[Box] = []
-        self.processed = 0
-
-
-def certify_ratio(
-    p: Polynomial, budget: Budget = DEFAULT_BUDGET, search: Optional[_BoxSearch] = None
-) -> RatioVerdict:
-    """Certify P >= 0 on the unit square, or give up within budget.
-
-    The four edges are discharged by exact univariate checks; the interior
-    by breadth-first box subdivision, a box being discharged when all its
-    tensor Bernstein coefficients are >= 0.  Never returns FAILS.
-
-    A given search state resumes where it stopped and is advanced.  The
-    counters are this call's work; max_boxes bounds the search's total.
-    """
-    counters = {"boxes_processed": 0, "boxes_certified": 0}
-    if search is None:
-        search = _BoxSearch(compactify(p))
-    bp = search.bp
-    if bp.is_zero:
-        return RatioVerdict(RatioStatus.HOLDS, certificate="zero-ratio-form",
-                            budget_spent=counters)
-    if search.edge_negative is not None:
-        return RatioVerdict(RatioStatus.UNKNOWN, budget_spent=counters)
-    if search.queue is None:
-        for name, edge in _edge_polynomials(bp):
-            if not _nonneg_on_unit_interval(edge):
-                search.edge_negative = name
-                counters[f"edge_negative[{name}]"] = 1
-                return RatioVerdict(RatioStatus.UNKNOWN, budget_spent=counters)
-        search.queue = deque([bernstein_tensor(bp, UNIT_BOX)])
-    queue = search.queue
-    while queue:
-        if search.processed >= budget.max_boxes:
-            return RatioVerdict(RatioStatus.UNKNOWN, budget_spent=counters)
-        bb = queue.popleft()
-        search.processed += 1
-        counters["boxes_processed"] += 1
-        if bb.min_coefficient >= 0:
-            search.certified.append(bb.box)
-            counters["boxes_certified"] += 1
-        else:
-            queue.extend(bb.split())
-    return RatioVerdict(RatioStatus.HOLDS, certificate=tuple(search.certified),
-                        budget_spent=counters)
 
 
 # -- the exact decision -----------------------------------------------------
@@ -556,6 +326,24 @@ class SeparationCertificate:
     critical_values: tuple[int, ...] = ()
 
 
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational with the smallest denominator in the open interval
+    (lo, hi), and of those the one nearest 0: the continued fraction
+    descent of the Stern-Brocot tree."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -_simplest_between(-hi, -lo)
+    whole = lo.numerator // lo.denominator
+    if whole + 1 < hi:
+        return Fraction(whole + 1)
+    # lo and hi lie in [whole, whole + 1]: recurse on 1/(x - whole)
+    top = 1 / (hi - whole)
+    if lo == whole:
+        return whole + 1 / Fraction(top.numerator // top.denominator + 1)
+    return whole + 1 / _simplest_between(top, 1 / (lo - whole))
+
+
 class _Root:
     """A real root of the square-free vector f in (lo, hi]; exact once
     sign_hi, the sign of f(hi), is 0.  Bisection keeps f(hi) of that sign."""
@@ -571,8 +359,9 @@ class _Root:
         return self.sign_hi == 0
 
     def point(self) -> Fraction:
-        """A rational in the interval, the root itself once it is exact."""
-        return self.hi if self.exact else (self.lo + self.hi) / 2
+        """The root once it is exact, else the rational with the smallest
+        denominator strictly inside the interval."""
+        return self.hi if self.exact else _simplest_between(self.lo, self.hi)
 
     def cut(self, x: Fraction) -> None:
         """Keep the half of the interval on the root's side of lo < x < hi."""
@@ -781,7 +570,8 @@ class _Separation:
                                      tuple(self._values or ()))
 
     def pair_witness(self, z1: _Root, z2: _Root) -> ConeWitness:
-        """Refine a failing pair until its interval points violate exactly."""
+        """Refine a failing pair until the simplest rationals in its
+        intervals violate exactly."""
         while True:
             rho, mu = z2.point(), -z1.point()
             if mu <= rho:
@@ -825,7 +615,7 @@ def _infinity_witness(p: Polynomial) -> ConeWitness:
 _SEPARATION_COUNTERS = ("critical_points", "critical_pairs", "bisections", "ties")
 
 
-def _decide_separated(p: Polynomial) -> RatioVerdict:
+def certify_ratio(p: Polynomial) -> RatioVerdict:
     """Exact, two-valued decision of the cone inequality by separation (see
     the module docstring): HOLDS with a SeparationCertificate, or FAILS with
     a witness from the failing pair, the diagonal or infinity."""
@@ -893,12 +683,11 @@ def check_ratio(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> RatioVerdict:
         the odd part contributes exactly zero to the cone value.
 
     Then grid levels 1 .. 2 return FAILS on their first negative point, and
-    _decide_separated decides.  On a failure the grid resumes at level 3
-    and runs to budget.grid_depth, so the witness is the coarsest
+    certify_ratio decides.  On a failure the grid resumes at level 3 and
+    runs to budget.grid_depth, so the witness is the coarsest
     lexicographic-first negative grid point; only when no grid point is
     negative does it come from the decision.  budget.grid_depth bounds that
-    search, never the verdict, and the box budget is not used.  Never
-    returns UNKNOWN.
+    search, never the verdict.
     """
     counters = dict.fromkeys(("grid_levels", "grid_exact_checks") + _SEPARATION_COUNTERS, 0)
     if p.degree <= 1 and p.coefficient(0) == 0:
@@ -917,7 +706,7 @@ def check_ratio(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> RatioVerdict:
     _add_spent(counters, spent)
     if witness is not None:
         return RatioVerdict(RatioStatus.FAILS, witness=witness, budget_spent=counters)
-    decided = _decide_separated(p)
+    decided = certify_ratio(p)
     _add_spent(counters, decided.budget_spent)
     if decided.status is RatioStatus.HOLDS:
         return RatioVerdict(RatioStatus.HOLDS, certificate=decided.certificate,

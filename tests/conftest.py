@@ -24,7 +24,7 @@ QUINTIC_DERIV = parse_polynomial("5x^4 - 6x^2 + 2")
 QUARTIC_DERIV = parse_polynomial("4x^3 - 2x + 1")
 
 # Members of the 2x2 preserver class that bypass the fast paths, so they
-# exercise the grid refuter and the Bernstein certifier.
+# exercise the grid refuter and the exact cone decision.
 CERTIFY_MEMBER = parse_polynomial("x^4 + x^3 - x^2 + x + 1")
 
 CURATED = [

@@ -78,8 +78,9 @@ def test_uninstall_restores_the_program(spans):
 def test_cone_hooks_sum_the_grid_calls(spans):
     # check_ratio scans grid levels 1-2, decides, and on a failure resumes
     # the grid; the grid hook adds up each call's counters to check_ratio's
-    # own totals, and the Bernstein certifier keeps its span although the
-    # cone check no longer calls it
+    # own totals.  The cone.bernstein span wraps certify_ratio, the exact
+    # decision: the member and the level-4 refutation reach it, the
+    # quintic, refuted at grid level 1, does not
     deep = parse_polynomial("x^5 - 1/100x^3 + x")  # witness at grid level 4
     expected = {"grid_levels": 0, "grid_exact_checks": 0}
     for p in (CERTIFY_MEMBER, QUINTIC, deep):
@@ -95,4 +96,10 @@ def test_cone_hooks_sum_the_grid_calls(spans):
     assert count["route_grid"] == 2  # the quintic and the deep refutation
     calls = tracer.totals("probe")[0]
     assert calls["cone.ratio"] == 3 and calls["cone.grid"] == 1 + 1 + 2
+    assert calls["cone.bernstein"] == 2
     assert "cone.bernstein" in tracer.traced
+
+
+def test_public_names_resolve():
+    missing = [name for name in nppreserve.__all__ if not hasattr(nppreserve, name)]
+    assert not missing

@@ -191,8 +191,11 @@ class TestReports:
         assert code == 1 and report["status"] == "not_member"
         assert "witness_matrix" in report and "image_negative_entry" in report
 
-    def test_witness_command(self, capsys):
-        code = run(["witness", "x^5 - 2x^3 + 2x", "--format", "json"])
+    def test_witness_command_removed(self, capsys):
+        # the former witness subcommand ran check-p2's path; it is gone
+        assert run(["witness", "x^5 - 2x^3 + 2x", "--format", "json"]) == 64
+        capsys.readouterr()
+        code = run(["check-p2", "x^5 - 2x^3 + 2x", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         assert report["witness_matrix"] == [["0", "1"], ["1/2", "1/2"]]

@@ -1,5 +1,6 @@
-"""Cone inequality: exact values, compactification, Bernstein certification,
-and the exact separation decision."""
+"""Cone inequality: exact values, compactification, the grid refuter, the
+exact separation decision, and the Bernstein box certifier kept as a
+reference."""
 
 import random
 import signal
@@ -13,24 +14,28 @@ from hypothesis import strategies as st
 
 from nppreserve import (
     BiPoly,
-    Box,
     Budget,
     DEFAULT_BUDGET,
     Polynomial,
     RatioStatus,
     RatioVerdict,
     SeparationCertificate,
-    bernstein_tensor,
-    certify_ratio,
     check_ratio,
     check_nonneg_halfline,
     check_spectral,
     compactify,
     parse_polynomial,
     ratio_value,
-    refute_ratio,
 )
 from nppreserve import cone
+from bernstein_reference import (
+    DEFAULT_MAX_BOXES,
+    GAVE_UP,
+    Box,
+    bernstein_tensor,
+    certify_boxes,
+    nonneg_on_unit_interval,
+)
 from conftest import CERTIFY_MEMBER, QUARTIC, QUINTIC, random_polynomial, replay_separation
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -136,20 +141,20 @@ class TestBernsteinTensor:
 
 class TestRefute:
     def test_quintic_witness_at_coarsest_level(self):
-        w = refute_ratio(QUINTIC)
+        w = cone._scan_grid(QUINTIC, DEFAULT_BUDGET)[0]
         assert (w.rho, w.mu, w.value) == (1, Fraction(1, 2), Fraction(-9, 32))
 
     def test_square_never_refuted(self):
-        assert refute_ratio(Polynomial((0, 0, 1))) is None
-        assert refute_ratio(Polynomial((0, 0, 1)), Budget(grid_depth=6)) is None
+        assert cone._scan_grid(Polynomial((0, 0, 1)), DEFAULT_BUDGET)[0] is None
+        assert cone._scan_grid(Polynomial((0, 0, 1)), Budget(grid_depth=6))[0] is None
 
     def test_zero_ratio_form(self):
-        assert refute_ratio(parse_polynomial("-x")) is None
+        assert cone._scan_grid(parse_polynomial("-x"), DEFAULT_BUDGET)[0] is None
 
     def test_coefficients_beyond_float_range(self):
         # the float prefilter must hand over to the pure-exact scan
         p = Polynomial((-(10**400), 0, 1))
-        w = refute_ratio(p, Budget(grid_depth=2))
+        w = cone._scan_grid(p, Budget(grid_depth=2))[0]
         assert w is not None
         assert ratio_value(p, w.rho, w.mu) == w.value < 0
 
@@ -158,7 +163,7 @@ class TestRefute:
         found = 0
         for _ in range(60):
             p = random_polynomial(rng)
-            w = refute_ratio(p, Budget(grid_depth=6))
+            w = cone._scan_grid(p, Budget(grid_depth=6))[0]
             if w is not None:
                 found += 1
                 assert 0 < w.mu <= w.rho
@@ -168,29 +173,29 @@ class TestRefute:
 
 class TestCertify:
     def test_square_holds_at_depth_zero(self):
-        verdict = certify_ratio(Polynomial((0, 0, 1)))
+        verdict = certify_boxes(Polynomial((0, 0, 1)))
         assert verdict.status is RatioStatus.HOLDS
         assert len(verdict.certificate) == 1
         assert verdict.budget_spent["boxes_processed"] == 1
 
     def test_zero_short_circuit(self):
-        verdict = certify_ratio(parse_polynomial("-x"))
+        verdict = certify_boxes(parse_polynomial("-x"))
         assert verdict.status is RatioStatus.HOLDS
         assert verdict.certificate == "zero-ratio-form"
 
     def test_quintic_never_holds(self):
-        verdict = certify_ratio(QUINTIC, Budget(max_boxes=128))
-        assert verdict.status is RatioStatus.UNKNOWN
+        verdict = certify_boxes(QUINTIC, max_boxes=128)
+        assert verdict.status is GAVE_UP
 
     def test_certified_boxes_tile_the_square(self):
-        verdict = certify_ratio(CERTIFY_MEMBER)
+        verdict = certify_boxes(CERTIFY_MEMBER)
         assert verdict.status is RatioStatus.HOLDS
         area = sum(b.width_t * b.width_r for b in verdict.certificate)
         assert area == 1
 
     def test_certified_boxes_replay_and_sample_nonneg(self):
         bp = compactify(CERTIFY_MEMBER)
-        verdict = certify_ratio(CERTIFY_MEMBER)
+        verdict = certify_boxes(CERTIFY_MEMBER)
         rng = random.Random(8)
         for box in verdict.certificate:
             replay = bernstein_tensor(bp, box)
@@ -218,7 +223,7 @@ class TestUnitIntervalEdgeCheck:
             samples = marks + [(a + b) / 2 for a, b in zip(marks, marks[1:])]
             expected = all(q(x) >= 0 for x in samples)
             seen.add(expected)
-            assert cone._nonneg_on_unit_interval(q) is expected, str(q)
+            assert nonneg_on_unit_interval(q) is expected, str(q)
         assert seen == {True, False}
 
 
@@ -255,7 +260,7 @@ class TestCheckRatio:
         for p in corpus200:
             verdict = check_ratio(p, Budget(grid_depth=6))
             if isinstance(verdict.certificate, str):
-                assert refute_ratio(p, Budget(grid_depth=7)) is None, str(p)
+                assert cone._scan_grid(p, Budget(grid_depth=7))[0] is None, str(p)
 
     def test_odd_crossing_fails(self):
         # ratio value factors as mu*rho*(rho^2-mu^2)*(rho^2+mu^2-1): negative near 0
@@ -265,9 +270,9 @@ class TestCheckRatio:
         assert ratio_value(parse_polynomial("x^5 - x^3 + x"), w.rho, w.mu) < 0
 
 
-def serial_check_ratio(p, budget=DEFAULT_BUDGET):
-    """check_ratio in its former serial order, as reference: the fast paths,
-    then every grid level, then the certifier from scratch."""
+def serial_check_ratio(p, budget=DEFAULT_BUDGET, max_boxes=DEFAULT_MAX_BOXES):
+    """The former cone check, as reference: the fast paths, then every grid
+    level, then the Bernstein box certifier within max_boxes boxes."""
     counters = {"grid_levels": 0, "grid_exact_checks": 0,
                 "boxes_processed": 0, "boxes_certified": 0}
     if p.degree <= 1 and p.coefficient(0) == 0:
@@ -284,7 +289,7 @@ def serial_check_ratio(p, budget=DEFAULT_BUDGET):
     counters.update(grid_counters)
     if witness is not None:
         return RatioVerdict(RatioStatus.FAILS, witness=witness, budget_spent=counters)
-    certified = certify_ratio(p, budget)
+    certified = certify_boxes(p, max_boxes)
     counters.update(certified.budget_spent)
     return RatioVerdict(certified.status, certificate=certified.certificate,
                         budget_spent=counters)
@@ -315,13 +320,13 @@ def assert_exact(p, verdict):
             replay_separation(p, verdict.certificate)
 
 
-def assert_same_as_serial(p, budget=DEFAULT_BUDGET):
-    """check_ratio never says unknown, and agrees with the reference wherever
-    the reference is decisive: the same status and witness, and on a
-    refutation the same grid levels and points."""
-    got, want = check_ratio(p, budget), serial_check_ratio(p, budget)
+def assert_same_as_serial(p, budget=DEFAULT_BUDGET, max_boxes=DEFAULT_MAX_BOXES):
+    """check_ratio is always decisive, and agrees with the reference wherever
+    the reference is: the same status and witness, and on a refutation the
+    same grid levels and points."""
+    got, want = check_ratio(p, budget), serial_check_ratio(p, budget, max_boxes)
     assert_exact(p, got)
-    if want.status is RatioStatus.UNKNOWN:
+    if want.status is GAVE_UP:
         return got
     assert (got.status, got.witness) == (want.status, want.witness), (str(p), budget)
     spent, ref = got.budget_spent, want.budget_spent
@@ -368,27 +373,27 @@ class TestLockstepAgainstSerial:
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_grid_depth_budgets(self, depth):
-        # a grid too shallow for the witness leaves the reference unknown;
+        # a grid too shallow for the witness leaves the reference undecided;
         # check_ratio then takes its witness from the failing pair
-        budget = Budget(grid_depth=depth, max_boxes=64)
+        budget = Budget(grid_depth=depth)
         for p in (CERTIFY_MEMBER, MEMBER_17_BOXES, QUINTIC, DEEP_REFUTATIONS[0][0],
                   EDGE_NEGATIVE):
-            assert_same_as_serial(p, budget)
+            assert_same_as_serial(p, budget, max_boxes=64)
 
     def test_box_budgets(self):
-        # check_ratio does not read the box budget; the reference does, and
-        # cannot certify a member with one box
+        # check_ratio has no box budget; the reference has, and cannot
+        # certify a member with one box
         for p in (CERTIFY_MEMBER, MEMBER_17_BOXES):
-            assert serial_check_ratio(p, Budget(max_boxes=1)).status is RatioStatus.UNKNOWN
+            assert serial_check_ratio(p, max_boxes=1).status is GAVE_UP
         for p in (CERTIFY_MEMBER, MEMBER_17_BOXES, DEEP_REFUTATIONS[0][0]):
             default = check_ratio(p)
             for boxes in (1, 2, 7, 64):
-                verdict = assert_same_as_serial(p, Budget(max_boxes=boxes))
+                verdict = assert_same_as_serial(p, max_boxes=boxes)
                 assert verdict == default
 
     def test_corpus(self, corpus200):
         for p in corpus200:
-            assert_same_as_serial(p, Budget(max_boxes=256))
+            assert_same_as_serial(p, max_boxes=256)
 
     def test_coefficients_beyond_float_range(self):
         verdict = assert_same_as_serial(Polynomial((-(10**400), 0, 1)))
@@ -491,6 +496,23 @@ class TestSeparation:
         verdict = decide(p)
         assert verdict.status is RatioStatus.FAILS
         assert verdict.budget_spent["grid_levels"] == 10  # no grid point is negative
+        # the witness is the simplest rational in each refined interval
+        w = verdict.witness
+        assert (w.rho, w.mu) == (Fraction(97612895, 48806447), Fraction(11999212, 11999211))
+        assert max(w.rho.denominator, w.mu.denominator) < 10**8
+
+    def test_simplest_between_against_search(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            lo = Fraction(rng.randint(-300, 300), rng.randint(1, 60))
+            hi = lo + Fraction(rng.randint(1, 40), rng.randint(1, 400))
+            x = cone._simplest_between(lo, hi)
+            q = 1
+            while not any(lo < Fraction(n, q) < hi for n in range(int(lo * q) - 1, int(hi * q) + 2)):
+                q += 1
+            inside = [Fraction(n, q) for n in range(int(lo * q) - 1, int(hi * q) + 2)
+                      if lo < Fraction(n, q) < hi]
+            assert x == min(inside, key=abs), (lo, hi)
 
     def test_edge_condition_alone_refutes(self):
         # phi(z2) < a1 at a positive critical point; every pair separates
@@ -505,17 +527,17 @@ class TestSeparation:
         # even part not in P1: the diagonal fails
         p = parse_polynomial("x^5 - x^3 - x^2 + x")
         with deadline(5):
-            verdict = cone._decide_separated(p)
+            verdict = cone.certify_ratio(p)
         assert verdict.status is RatioStatus.FAILS and verdict.witness.mu == verdict.witness.rho
         assert_exact(p, verdict)
         # a_m < 0: phi(rho) -> -inf
         p = parse_polynomial("-x^5 + x^4 + x^2")
-        verdict = cone._decide_separated(p)
+        verdict = cone.certify_ratio(p)
         assert verdict.status is RatioStatus.FAILS
         assert_exact(p, verdict)
         # degree below 2 with a0 >= 0
         for p in (Polynomial((1, -3)), Polynomial((0, -1)), Polynomial(())):
-            verdict = cone._decide_separated(p)
+            verdict = cone.certify_ratio(p)
             assert verdict.status is RatioStatus.HOLDS
             assert verdict.certificate.comparisons == ()
 
@@ -526,10 +548,10 @@ class TestSeparation:
         for _ in range(150):
             p = random_polynomial(rng)
             with deadline(5):
-                verdict = cone._decide_separated(p)
+                verdict = cone.certify_ratio(p)
             assert_exact(p, verdict)
-            want = serial_check_ratio(p, Budget(max_boxes=256))
-            if want.status is not RatioStatus.UNKNOWN:
+            want = serial_check_ratio(p, max_boxes=256)
+            if want.status is not GAVE_UP:
                 assert verdict.status is want.status, str(p)
             statuses.add(verdict.status)
         assert statuses == {RatioStatus.HOLDS, RatioStatus.FAILS}
