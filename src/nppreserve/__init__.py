@@ -8,10 +8,8 @@ analytic checkers.
 
 from .cone import (
     BiPoly,
-    Budget,
     Comparison,
     ConeWitness,
-    DEFAULT_BUDGET,
     RatioStatus,
     RatioVerdict,
     SeparationCertificate,
@@ -67,11 +65,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly",
-    "Budget",
     "CertificateNotFound",
     "Comparison",
     "ConeWitness",
-    "DEFAULT_BUDGET",
     "HalflineVerdict",
     "Matrix2",
     "MembershipStatus",

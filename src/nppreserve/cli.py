@@ -16,7 +16,6 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .cone import Budget
 from .halfline import CertificateNotFound, polya_szego_certificate
 from .matrices import Matrix2, _falsify, horner_matrix_eval
 from .polynomial import Polynomial
@@ -205,19 +204,13 @@ def parse_polynomial(src: PolySource) -> Polynomial:
 
 @dataclass
 class RunConfig:
-    budget_grid: int = 10
     trials: int = 10000
     seed: int = 0
     precision_bits: int = 128
     fmt: str = "text"
 
-    @property
-    def budget(self) -> Budget:
-        return Budget(grid_depth=self.budget_grid)
-
 
 _ENV_KEYS = {
-    "budget_grid": "NP_PRESERVE_BUDGET_GRID",
     "trials": "NP_PRESERVE_TRIALS",
     "seed": "NP_PRESERVE_SEED",
     "precision_bits": "NP_PRESERVE_PRECISION",
@@ -238,7 +231,6 @@ def _resolve_config(args: argparse.Namespace, env=os.environ) -> RunConfig:
                 except ValueError:
                     raise _UsageError(f"{key} must be an integer, got {raw!r}")
     overrides = {
-        "budget_grid": args.budget_grid,
         "trials": args.trials,
         "seed": args.seed,
         "precision_bits": args.precision,
@@ -249,8 +241,6 @@ def _resolve_config(args: argparse.Namespace, env=os.environ) -> RunConfig:
             setattr(config, attr, value)
     if config.fmt not in ("text", "json"):
         raise _UsageError("format must be 'text' or 'json'")
-    if config.budget_grid < 1 or config.budget_grid > 24:
-        raise _UsageError("budget-grid must be in 1..24")
     if config.trials < 1:
         raise _UsageError("trials must be positive")
     if config.seed < 0:
@@ -302,7 +292,7 @@ def _run_command(command: str, p: Polynomial, config: RunConfig) -> dict:
     if command == "check-p1":
         return _membership_report(p, check_p1(p))
     if command == "check-p2":
-        return _membership_report(p, check_p2(p, config.budget))
+        return _membership_report(p, check_p2(p))
     if command == "check-circulant":
         return _membership_report(p, check_circulant2(p))
     if command == "p3-screen":
@@ -437,8 +427,6 @@ def build_parser() -> _ArgumentParser:
         cmd.add_argument("--coeffs", help="comma-separated coefficients a0,a1,...")
         cmd.add_argument("--batch", help="file with one polynomial expression per line")
         cmd.add_argument("--format", choices=("text", "json"), default=None)
-        cmd.add_argument("--budget-grid", type=int, default=None,
-                         help="depth of the cone's witness grid (default 10)")
         cmd.add_argument("--trials", type=int, default=None,
                          help="falsification trials (default 10000)")
         cmd.add_argument("--seed", type=int, default=None, help="oracle seed (default 0)")

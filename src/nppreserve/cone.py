@@ -53,9 +53,11 @@ separate, and are decided by exact algebra instead:
 
 check_ratio takes exact fast paths first, then scans the dyadic grid of
 the compactified form (below) for a canonical witness, runs the decision,
-and on a failure resumes the grid; only if no grid point is negative does
-the witness come from the failing pair's intervals, as the rationals with
-the smallest denominators inside them.
+and on a failure resumes the grid to its fixed depth of 10 levels; only if
+no grid point is negative does the witness come from the failing pair's
+intervals, as the rationals with the smallest denominators inside them.
+The grid picks the witness, never the verdict, and its depth and work are
+the same for p and for every positive multiple c*p.
 
 The substitution mu = t*rho, rho = r/(1-r) compactifies the cone onto the
 unit square:
@@ -69,7 +71,7 @@ continuity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
@@ -131,14 +133,6 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def degree_t(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def degree_r(self) -> int:
-        return len(self.coeffs[0]) - 1 if self.coeffs else -1
-
     def eval(self, t: Rational, r: Rational) -> Fraction:
         t = Fraction(t)
         r = Fraction(r)
@@ -179,23 +173,13 @@ def compactify(p: Polynomial) -> BiPoly:
     return BiPoly(grid)
 
 
-# -- verdicts and budgets ----------------------------------------------------
+# -- verdicts ----------------------------------------------------------------
 
 
 class RatioStatus(str, Enum):
     HOLDS = "holds"
     FAILS = "fails"
 
-
-@dataclass(frozen=True)
-class Budget:
-    """Search budget: the depth of the dyadic grid that check_ratio searches
-    for a canonical witness.  It bounds that search, never the verdict."""
-
-    grid_depth: int = 10
-
-
-DEFAULT_BUDGET = Budget()
 
 Certificate = Union[str, "SeparationCertificate", None]
 
@@ -211,75 +195,92 @@ class RatioVerdict:
 # -- refutation --------------------------------------------------------------
 
 
+# grid levels scanned before the exact decision: their points are the
+# canonical witnesses of the common refutations, found without the decision
+_GRID_FIRST = 2
+# the deepest grid level: 2^10 x 2^10 points, float arrays of 8 MiB
+_GRID_DEPTH = 10
+
+
+def _scaled_float(c: Fraction, e: int) -> float:
+    """c * 2^-e, correctly rounded: int true division never overflows."""
+    if e >= 0:
+        return c.numerator / (c.denominator << e)
+    return (c.numerator << -e) / c.denominator
+
+
 class _GridScan:
     """Resume state of _scan_grid: the compactified form, its float
-    prefilter (None when a coefficient is beyond float range) and the
-    deepest level scanned so far."""
+    prefilter and the deepest level scanned so far.
+
+    The prefilter holds every coefficient times one power of two 2^-e, with
+    e chosen so that the largest magnitude lies in [1/4, 1].  A power-of-two
+    scale is exact in floating point: for inputs in float range it picks the
+    points the unscaled floats would pick, and it brings every other input,
+    however large or small its coefficients, into float range."""
 
     def __init__(self, bp: BiPoly):
         self.bp = bp
         self.level = 0
-        self.cmat = None
         if bp.is_zero:
             return
-        try:
-            cmat = np.array([[float(c) for c in row] for row in bp.coeffs], dtype=float)
-        except OverflowError:
-            return
-        if np.all(np.isfinite(cmat)):
-            self.cmat = cmat
-            self.cabs = np.abs(cmat)
-            nt, nr = cmat.shape
-            # generous bound on float evaluation error relative to sum of |terms|
-            self.gamma = 256.0 * nt * nr * 2.0**-53
+        # 2^(a - b - 1) < |c| < 2^(a - b + 1) for a numerator of a bits and
+        # a denominator of b bits
+        e = 1 + max(c.numerator.bit_length() - c.denominator.bit_length()
+                    for row in bp.coeffs for c in row if c)
+        cmat = np.array([[_scaled_float(c, e) for c in row] for row in bp.coeffs])
+        self.cmat = cmat
+        self.cabs = np.abs(cmat)
+        nt, nr = cmat.shape
+        # generous bound on float evaluation error relative to sum of |terms|
+        self.gamma = 256.0 * nt * nr * 2.0**-53
+        # plus an absolute term for coefficients and products that underflow,
+        # where the relative bound says nothing: each term of the sum loses
+        # at most a few units of 2^-1074 to underflow, far below 2^-1020
+        self.floor = nt * nr * 2.0**-1020
 
 
 def _scan_grid(
-    p: Polynomial, budget: Budget, scan: Optional[_GridScan] = None
+    p: Polynomial, last_level: int = _GRID_DEPTH, scan: Optional[_GridScan] = None
 ) -> tuple[Optional[ConeWitness], dict]:
     """Dyadic grid search for P < 0 on (0,1] x (0,1), exact sign decisions.
 
-    Floats only pre-filter: any point whose float value cannot be proven
-    nonnegative (via a rigorous rounding-error bound) is re-evaluated with
-    exact arithmetic in lexicographic (t, r) order, so the reported witness
-    is the coarsest-level lexicographic-first negative grid point, exactly
-    as an all-exact scan would report.  Every grid point maps back to a
-    point 0 < mu <= rho of the cone.
+    Floats only pre-filter, for every input: any point whose float value
+    cannot be proven nonnegative (via a rigorous rounding-error bound) is
+    decided by the exact cone value at its point, in lexicographic (t, r)
+    order, so the reported witness is the coarsest-level lexicographic-first
+    negative grid point, exactly as an all-exact scan would report.  Every
+    grid point maps back to a point 0 < mu <= rho of the cone, where P and
+    the cone value have the same sign.
 
     A given scan state resumes after its last level and is advanced; either
-    way the search stops after level budget.grid_depth.  The counters are
-    this call's work: levels scanned and exact evaluations.
+    way the search stops after level last_level.  The counters are this
+    call's work: levels scanned and exact evaluations.
     """
     counters = {"grid_levels": 0, "grid_exact_checks": 0}
     if scan is None:
         scan = _GridScan(compactify(p))
-    bp, cmat = scan.bp, scan.cmat
-    if bp.is_zero:
+    if scan.bp.is_zero:
         return None, counters
-    for level in range(scan.level + 1, budget.grid_depth + 1):
+    cmat = scan.cmat
+    nt, nr = cmat.shape
+    for level in range(scan.level + 1, last_level + 1):
         scan.level = level
         counters["grid_levels"] += 1
         n = 1 << level
-        if cmat is None:
-            candidates = ((i, j) for i in range(n) for j in range(n - 1))
-        else:
-            nt, nr = cmat.shape
-            ts = np.arange(1, n + 1, dtype=float) / n
-            rs = np.arange(1, n, dtype=float) / n
-            tpow = ts[:, None] ** np.arange(nt)
-            rpow = rs[:, None] ** np.arange(nr)
-            vals = tpow @ cmat @ rpow.T
-            margin = scan.gamma * (tpow @ scan.cabs @ rpow.T)
-            candidates = np.argwhere(vals < margin)  # row-major == lex (t, r)
-        for i, j in candidates:
-            t = Fraction(int(i) + 1, n)
-            r = Fraction(int(j) + 1, n)
+        ts = np.arange(1, n + 1, dtype=float) / n
+        rs = np.arange(1, n, dtype=float) / n
+        tpow = ts[:, None] ** np.arange(nt)
+        rpow = rs[:, None] ** np.arange(nr)
+        vals = tpow @ cmat @ rpow.T
+        margin = scan.gamma * (tpow @ scan.cabs @ rpow.T) + scan.floor
+        for i, j in np.argwhere(vals < margin):  # row-major == lex (t, r)
             counters["grid_exact_checks"] += 1
-            if bp.eval(t, r) < 0:
-                rho = r / (1 - r)
-                mu = t * rho
-                value = ratio_value(p, rho, mu)
-                assert value < 0 and 0 < mu <= rho
+            r = Fraction(int(j) + 1, n)
+            rho = r / (1 - r)
+            mu = Fraction(int(i) + 1, n) * rho
+            value = ratio_value(p, rho, mu)
+            if value < 0:
                 return ConeWitness(rho=rho, mu=mu, value=value), counters
     return None, counters
 
@@ -662,17 +663,12 @@ def certify_ratio(p: Polynomial) -> RatioVerdict:
 
 # -- the two-valued check ----------------------------------------------------
 
-# grid levels scanned before the exact decision: their points are the
-# canonical witnesses of the common refutations, found without the decision
-_GRID_FIRST = 2
-
-
 def _add_spent(counters: dict, spent: dict) -> None:
     for key, value in spent.items():
         counters[key] = counters.get(key, 0) + value
 
 
-def check_ratio(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> RatioVerdict:
+def check_ratio(p: Polynomial) -> RatioVerdict:
     """Exact cone decision: fast paths, the coarse grid, then separation.
 
     Fast paths (exact):
@@ -684,10 +680,9 @@ def check_ratio(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> RatioVerdict:
 
     Then grid levels 1 .. 2 return FAILS on their first negative point, and
     certify_ratio decides.  On a failure the grid resumes at level 3 and
-    runs to budget.grid_depth, so the witness is the coarsest
-    lexicographic-first negative grid point; only when no grid point is
-    negative does it come from the decision.  budget.grid_depth bounds that
-    search, never the verdict.
+    runs to level 10, so the witness is the coarsest lexicographic-first
+    negative grid point; only when no grid point is negative does it come
+    from the decision.  The grid depth bounds that search, never the verdict.
     """
     counters = dict.fromkeys(("grid_levels", "grid_exact_checks") + _SEPARATION_COUNTERS, 0)
     if p.degree <= 1 and p.coefficient(0) == 0:
@@ -701,8 +696,7 @@ def check_ratio(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> RatioVerdict:
         return RatioVerdict(RatioStatus.HOLDS, certificate="linear-odd-part",
                             budget_spent=counters)
     scan = _GridScan(compactify(p))
-    first = replace(budget, grid_depth=min(_GRID_FIRST, budget.grid_depth))
-    witness, spent = _scan_grid(p, first, scan)
+    witness, spent = _scan_grid(p, _GRID_FIRST, scan)
     _add_spent(counters, spent)
     if witness is not None:
         return RatioVerdict(RatioStatus.FAILS, witness=witness, budget_spent=counters)
@@ -711,7 +705,7 @@ def check_ratio(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> RatioVerdict:
     if decided.status is RatioStatus.HOLDS:
         return RatioVerdict(RatioStatus.HOLDS, certificate=decided.certificate,
                             budget_spent=counters)
-    witness, spent = _scan_grid(p, budget, scan)
+    witness, spent = _scan_grid(p, _GRID_DEPTH, scan)
     _add_spent(counters, spent)
     return RatioVerdict(RatioStatus.FAILS, witness=witness or decided.witness,
                         budget_spent=counters)

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .cone import Budget, DEFAULT_BUDGET, RatioStatus, SeparationCertificate, check_ratio
+from .cone import RatioStatus, SeparationCertificate, check_ratio
 from .halfline import check_nonneg_halfline
 from .matrices import Matrix2
 from .polynomial import Polynomial, count_roots, integer_vector, radical_vector
@@ -181,7 +181,7 @@ def check_p1(p: Polynomial) -> MembershipVerdict:
     )
 
 
-def check_p2(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> MembershipVerdict:
+def check_p2(p: Polynomial) -> MembershipVerdict:
     """Preservation of all nonnegative 2x2 matrices.
 
     Spectral conditions first, then the cone check; both are exact and
@@ -197,7 +197,7 @@ def check_p2(p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> MembershipVerdic
             witness_point=(rho, mu),
             certificate_trail=spectral.trail,
         )
-    rv = check_ratio(p, budget)
+    rv = check_ratio(p)
     detail = rv.certificate if isinstance(rv.certificate, str) else None
     if isinstance(rv.certificate, SeparationCertificate):
         detail = f"critical-points:{len(rv.certificate.roots)}"

@@ -104,18 +104,19 @@ class TestReports:
                                           "critical_points": 2, "critical_pairs": 1,
                                           "bisections": 10, "ties": 0}
 
-    def test_small_budgets_on_a_member(self, capsys):
-        # a one-level grid bounds only the witness search, not the verdict
-        code = run(["check-p2", "x^4 + x^3 - x^2 + x + 1", "--budget-grid", "1",
-                    "--format", "json"])
+    def test_budget_flags_removed(self, capsys):
+        # the grid depth is fixed and there is no box budget: both flags are
+        # usage errors, whatever their value
+        member = "x^4 + x^3 - x^2 + x + 1"
+        for flags in (["--budget-grid", "1"], ["--budget-grid", "14"], ["--budget-boxes", "1"]):
+            assert run(["check-p2", member] + flags) == 64, flags
+        capsys.readouterr()
+        code = run(["check-p2", member, "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert (code, report["status"]) == (0, "member")
-        assert report["budget_spent"] == {"grid_levels": 1, "grid_exact_checks": 0,
+        assert report["budget_spent"] == {"grid_levels": 2, "grid_exact_checks": 0,
                                           "critical_points": 2, "critical_pairs": 0,
                                           "bisections": 4, "ties": 0}
-        # there is no box budget any more
-        assert run(["check-p2", "x^4 + x^3 - x^2 + x + 1", "--budget-boxes", "1"]) == 64
-        capsys.readouterr()
 
     def test_member_exit_zero(self, capsys):
         code = run(["check-p2", "x^4 - x^2 + x + 1", "--format", "json"])
@@ -202,16 +203,16 @@ class TestReports:
 
     def test_unknown_exit_code(self, capsys):
         # check-p2 never exits 2: the cone decision is exact, and the grid
-        # depth bounds only the search for a canonical witness
+        # only picks a canonical witness
         cases = [
             ("x^5 - 2x^3 + 2x", 1),  # level 1 refutes
             ("x^5 - 3x^3 + 9/4*x", 1),  # spectral failure
-            ("x^5 - 1/100x^3 + x", 1),  # witness beyond the grid: from the critical pair
+            ("x^5 - 1/100x^3 + x", 1),  # decided on the critical pair, witness at level 4
             ("3/2x^4 + 3/2x^3 - 9/4x^2 + 3x + 27/32", 0),  # touches zero on the diagonal
             ("x^8 + 2x^7 - 6x^6 - 18x^5 + 5x^4 + 36x^3 + 20x^2 + 125x", 0),  # interior touch
         ]
         for expression, expected in cases:
-            code = run(["check-p2", expression, "--budget-grid", "1", "--format", "json"])
+            code = run(["check-p2", expression, "--format", "json"])
             report = json.loads(capsys.readouterr().out)
             assert code == expected, expression
             if code == 1:
@@ -267,7 +268,7 @@ class TestBatchAndConfig:
     def test_usage_errors(self, capsys):
         assert run(["check-p2"]) == 64  # no input
         assert run(["check-p2", "x", "--coeffs", "0,1"]) == 64  # two inputs
-        assert run(["check-p2", "x", "--budget-grid", "0"]) == 64
+        assert run(["check-p2", "x", "--budget-grid", "0"]) == 64  # no such flag
         assert run(["check-p2", "x^-1"]) == 64  # parse error
         assert run(["check-p2", "--batch", "/nonexistent/file"]) == 64
         capsys.readouterr()

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 from nppreserve import (
     BiPoly,
-    Budget,
-    DEFAULT_BUDGET,
+    ConeWitness,
     Polynomial,
     RatioStatus,
     RatioVerdict,
     SeparationCertificate,
+    check_p2,
     check_ratio,
     check_nonneg_halfline,
     check_spectral,
@@ -141,21 +141,30 @@ class TestBernsteinTensor:
 
 class TestRefute:
     def test_quintic_witness_at_coarsest_level(self):
-        w = cone._scan_grid(QUINTIC, DEFAULT_BUDGET)[0]
+        w = cone._scan_grid(QUINTIC)[0]
         assert (w.rho, w.mu, w.value) == (1, Fraction(1, 2), Fraction(-9, 32))
 
     def test_square_never_refuted(self):
-        assert cone._scan_grid(Polynomial((0, 0, 1)), DEFAULT_BUDGET)[0] is None
-        assert cone._scan_grid(Polynomial((0, 0, 1)), Budget(grid_depth=6))[0] is None
+        assert cone._scan_grid(Polynomial((0, 0, 1)))[0] is None
+        assert cone._scan_grid(Polynomial((0, 0, 1)), 6)[0] is None
 
     def test_zero_ratio_form(self):
-        assert cone._scan_grid(parse_polynomial("-x"), DEFAULT_BUDGET)[0] is None
+        assert cone._scan_grid(parse_polynomial("-x"))[0] is None
 
     def test_coefficients_beyond_float_range(self):
-        # the float prefilter must hand over to the pure-exact scan
         p = Polynomial((-(10**400), 0, 1))
-        w = cone._scan_grid(p, Budget(grid_depth=2))[0]
+        w = cone._scan_grid(p, 2)[0]
         assert w is not None
+        assert ratio_value(p, w.rho, w.mu) == w.value < 0
+
+    def test_terms_that_underflow(self):
+        # P = r^109 * ((t^110 + t)*r - (t - t^109)*(1 - r)/512) is negative
+        # only for r < 1/512, where every term is below 2^-1074 in floats: the
+        # margin's absolute term keeps those points for the exact check
+        p = Polynomial.monomial(110, 1) - Polynomial.monomial(109, Fraction(1, 512))
+        w, counters = cone._scan_grid(p)
+        assert counters["grid_levels"] == 10
+        assert (w.rho, w.mu) == (Fraction(1, 1023), Fraction(1, 1023 * 1024))
         assert ratio_value(p, w.rho, w.mu) == w.value < 0
 
     def test_witnesses_are_exact(self):
@@ -163,12 +172,55 @@ class TestRefute:
         found = 0
         for _ in range(60):
             p = random_polynomial(rng)
-            w = cone._scan_grid(p, Budget(grid_depth=6))[0]
+            w = cone._scan_grid(p, 6)[0]
             if w is not None:
                 found += 1
                 assert 0 < w.mu <= w.rho
                 assert ratio_value(p, w.rho, w.mu) == w.value < 0
         assert found > 10
+
+
+def exact_grid_scan(p, last_level):
+    """The grid scan without a float prefilter, as reference: every point of
+    levels 1 .. last_level in lexicographic (t, r) order, in Fraction only.
+    Returns the first negative point's witness and the levels scanned."""
+    bp = compactify(p)
+    if bp.is_zero:
+        return None, 0
+    for level in range(1, last_level + 1):
+        n = 1 << level
+        for i in range(1, n + 1):
+            for j in range(1, n):
+                t, r = Fraction(i, n), Fraction(j, n)
+                if bp.eval(t, r) < 0:
+                    rho = r / (1 - r)
+                    return ConeWitness(rho, t * rho, ratio_value(p, rho, t * rho)), level
+    return None, last_level
+
+
+def extreme_polynomial(rng):
+    """Degree 2..7, the odd and the even coefficients at two scales drawn
+    from 10^-400 .. 10^400.  On the row t = 1 the odd part of the cone form
+    vanishes, so there the even part alone decides, however small."""
+    degree = rng.randint(2, 7)
+    scales = [Fraction(10) ** (100 * e) for e in rng.sample(range(-4, 5), 2)]
+    return Polynomial(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) * scales[k % 2]
+                      for k in range(degree + 1))
+
+
+class TestGridAgainstExactScan:
+    def test_extreme_coefficients(self):
+        rng = random.Random(1309)
+        seen = set()
+        for _ in range(200):
+            p = extreme_polynomial(rng)
+            last_level = rng.randint(1, 4)
+            want = exact_grid_scan(p, last_level)
+            w, counters = cone._scan_grid(p, last_level)
+            assert (w, counters["grid_levels"]) == want, str(p)
+            seen.add(None if w is None else (w.mu == w.rho, counters["grid_levels"]))
+        # no witness, witnesses on the row t = 1, and one below level 2
+        assert None in seen and {(True, 1), (True, 2), (False, 3)} <= seen
 
 
 class TestCertify:
@@ -258,9 +310,9 @@ class TestCheckRatio:
 
     def test_fast_paths_never_contradicted(self, corpus200):
         for p in corpus200:
-            verdict = check_ratio(p, Budget(grid_depth=6))
+            verdict = check_ratio(p)
             if isinstance(verdict.certificate, str):
-                assert cone._scan_grid(p, Budget(grid_depth=7))[0] is None, str(p)
+                assert cone._scan_grid(p, 7)[0] is None, str(p)
 
     def test_odd_crossing_fails(self):
         # ratio value factors as mu*rho*(rho^2-mu^2)*(rho^2+mu^2-1): negative near 0
@@ -270,9 +322,9 @@ class TestCheckRatio:
         assert ratio_value(parse_polynomial("x^5 - x^3 + x"), w.rho, w.mu) < 0
 
 
-def serial_check_ratio(p, budget=DEFAULT_BUDGET, max_boxes=DEFAULT_MAX_BOXES):
-    """The former cone check, as reference: the fast paths, then every grid
-    level, then the Bernstein box certifier within max_boxes boxes."""
+def serial_check_ratio(p, max_boxes=DEFAULT_MAX_BOXES, grid_depth=cone._GRID_DEPTH):
+    """The former cone check, as reference: the fast paths, then grid levels
+    1 .. grid_depth, then the Bernstein box certifier within max_boxes boxes."""
     counters = {"grid_levels": 0, "grid_exact_checks": 0,
                 "boxes_processed": 0, "boxes_certified": 0}
     if p.degree <= 1 and p.coefficient(0) == 0:
@@ -285,7 +337,7 @@ def serial_check_ratio(p, budget=DEFAULT_BUDGET, max_boxes=DEFAULT_MAX_BOXES):
     if odd.degree <= 1 and check_nonneg_halfline(even).member:
         return RatioVerdict(RatioStatus.HOLDS, certificate="linear-odd-part",
                             budget_spent=counters)
-    witness, grid_counters = cone._scan_grid(p, budget)
+    witness, grid_counters = cone._scan_grid(p, grid_depth)
     counters.update(grid_counters)
     if witness is not None:
         return RatioVerdict(RatioStatus.FAILS, witness=witness, budget_spent=counters)
@@ -320,15 +372,15 @@ def assert_exact(p, verdict):
             replay_separation(p, verdict.certificate)
 
 
-def assert_same_as_serial(p, budget=DEFAULT_BUDGET, max_boxes=DEFAULT_MAX_BOXES):
+def assert_same_as_serial(p, max_boxes=DEFAULT_MAX_BOXES, grid_depth=cone._GRID_DEPTH):
     """check_ratio is always decisive, and agrees with the reference wherever
     the reference is: the same status and witness, and on a refutation the
     same grid levels and points."""
-    got, want = check_ratio(p, budget), serial_check_ratio(p, budget, max_boxes)
+    got, want = check_ratio(p), serial_check_ratio(p, max_boxes, grid_depth)
     assert_exact(p, got)
     if want.status is GAVE_UP:
         return got
-    assert (got.status, got.witness) == (want.status, want.witness), (str(p), budget)
+    assert (got.status, got.witness) == (want.status, want.witness), str(p)
     spent, ref = got.budget_spent, want.budget_spent
     if want.status is RatioStatus.FAILS:
         assert [spent[k] for k in GRID_KEYS] == [ref[k] for k in GRID_KEYS]
@@ -371,14 +423,21 @@ class TestLockstepAgainstSerial:
         assert verdict.budget_spent["grid_levels"] == level
         assert verdict.budget_spent["critical_points"] == 2
 
-    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
-    def test_grid_depth_budgets(self, depth):
-        # a grid too shallow for the witness leaves the reference undecided;
-        # check_ratio then takes its witness from the failing pair
-        budget = Budget(grid_depth=depth)
+    def test_fixed_grid_depth(self):
+        # the grid depth is fixed; a witness from the failing pair, where no
+        # grid point is negative, is test_perturbed_interior_touch_fails
         for p in (CERTIFY_MEMBER, MEMBER_17_BOXES, QUINTIC, DEEP_REFUTATIONS[0][0],
                   EDGE_NEGATIVE):
-            assert_same_as_serial(p, budget, max_boxes=64)
+            assert_same_as_serial(p, max_boxes=64)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_grid_depth_budgets(self, depth):
+        # check_ratio has no grid budget; a reference grid too shallow for the
+        # witness leaves the reference undecided, and a deep enough one finds
+        # the witness check_ratio reports, at the same level and points
+        for p in (CERTIFY_MEMBER, MEMBER_17_BOXES, QUINTIC, DEEP_REFUTATIONS[0][0],
+                  EDGE_NEGATIVE):
+            assert_same_as_serial(p, max_boxes=64, grid_depth=depth)
 
     def test_box_budgets(self):
         # check_ratio has no box budget; the reference has, and cannot
@@ -555,6 +614,32 @@ class TestSeparation:
                 assert verdict.status is want.status, str(p)
             statuses.add(verdict.status)
         assert statuses == {RatioStatus.HOLDS, RatioStatus.FAILS}
+
+
+class TestScaleInvariance:
+    # c*p has the cone value of p times c > 0: the same verdict, witness and
+    # grid levels at every scale, and for a power of two the same float
+    # prefilter, so the same exact checks
+    INPUTS = [QUINTIC, *(p for p, _ in DEEP_REFUTATIONS), EDGE_NEGATIVE, CERTIFY_MEMBER,
+              INTERIOR_TOUCH - Polynomial.monomial(4, Fraction(1, 10**6))]
+    SCALES = [(Fraction(10**400), False), (Fraction(1, 10**400), False),
+              (Fraction(2**1100), True), (Fraction(1, 2**1100), True)]
+
+    @staticmethod
+    def summary(p, exact_checks):
+        start = time.perf_counter()
+        with deadline(5):
+            verdict = check_p2(p)
+        assert time.perf_counter() - start < 0.5, str(p)
+        spent = verdict.budget_spent
+        return (verdict.status, verdict.witness_point, spent.get("grid_levels"),
+                spent.get("grid_exact_checks") if exact_checks else None)
+
+    @pytest.mark.parametrize("p", INPUTS, ids=str)
+    def test_check_p2_ignores_positive_scale(self, p):
+        for c, power_of_two in self.SCALES:
+            scaled = Polynomial(c * a for a in p.coeffs)
+            assert self.summary(scaled, power_of_two) == self.summary(p, power_of_two), c
 
 
 def _det(rows):
