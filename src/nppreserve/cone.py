@@ -57,7 +57,11 @@ and on a failure resumes the grid to its fixed depth of 10 levels; only if
 no grid point is negative does the witness come from the failing pair's
 intervals, as the rationals with the smallest denominators inside them.
 The grid picks the witness, never the verdict, and its depth and work are
-the same for p and for every positive multiple c*p.
+the same for p and for every positive multiple c*p.  It runs in integers
+only: each column of the grid is a univariate polynomial in r, searched in
+the Bernstein basis by halving cells with de Casteljau steps and pruning
+the cells whose coefficients have no sign variation (Descartes' rule, as
+in Vincent-Collins-Akritas root isolation).
 
 The substitution mu = t*rho, rho = r/(1-r) compactifies the cone onto the
 unit square:
@@ -74,10 +78,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Optional, Union
-
-import numpy as np
 
 from .halfline import check_nonneg_halfline
 from .polynomial import (
@@ -198,90 +200,131 @@ class RatioVerdict:
 # grid levels scanned before the exact decision: their points are the
 # canonical witnesses of the common refutations, found without the decision
 _GRID_FIRST = 2
-# the deepest grid level: 2^10 x 2^10 points, float arrays of 8 MiB
+# the deepest grid level: 2^10 x 2^10 points
 _GRID_DEPTH = 10
 
 
-def _scaled_float(c: Fraction, e: int) -> float:
-    """c * 2^-e, correctly rounded: int true division never overflows."""
-    if e >= 0:
-        return c.numerator / (c.denominator << e)
-    return (c.numerator << -e) / c.denominator
+def _halve(b: IntVector) -> tuple[IntVector, IntVector]:
+    """Integer de Casteljau at 1/2: the Bernstein coefficients of the left
+    and the right half of a cell, each times 2^m for m = len(b) - 1.  The
+    last left coefficient is the first right one, 2^m times the value at
+    the midpoint."""
+    m = len(b) - 1
+    left, right = [b[0] << m], [b[m] << m]
+    row = b
+    for k in range(m - 1, -1, -1):
+        row = [x + y for x, y in zip(row, row[1:])]  # 2^(m-k) times the averages
+        left.append(row[0] << k)
+        right.append(row[-1] << k)
+    right.reverse()
+    return left, right
+
+
+def _first_negative(b: IntVector, j: int, width: int, pending: list, counters: dict
+                    ) -> Optional[int]:
+    """The smallest grid index in the open cell (j, j + width) where the
+    column with Bernstein coefficients b on that cell is negative, or None.
+
+    A cell with no negative coefficient has no sign variation, so by
+    Descartes' rule no root inside, and the column is nonnegative on it.
+    Otherwise the cell is halved, which decides the sign at its midpoint;
+    a cell of unit width holds no grid point, and goes to pending."""
+    if min(b) >= 0:
+        return None
+    if width == 1:
+        pending.append((j, b))
+        return None
+    left, right = _halve(b)
+    counters["grid_exact_checks"] += 1
+    half = width >> 1
+    found = _first_negative(left, j, half, pending, counters)
+    if found is not None:
+        return found
+    if left[-1] < 0:  # the midpoint
+        return j + half
+    return _first_negative(right, j + half, half, pending, counters)
 
 
 class _GridScan:
-    """Resume state of _scan_grid: the compactified form, its float
-    prefilter and the deepest level scanned so far.
+    """Resume state of _scan_grid: the integer coefficients of p and, for
+    each column of the deepest level scanned so far, its unresolved cells.
 
-    The prefilter holds every coefficient times one power of two 2^-e, with
-    e chosen so that the largest magnitude lies in [1/4, 1].  A power-of-two
-    scale is exact in floating point: for inputs in float range it picks the
-    points the unscaled floats would pick, and it brings every other input,
-    however large or small its coefficients, into float range."""
+    The coefficients a are p's with the denominators cleared and the
+    positive content divided out, and a_1, which never enters P, set to 0:
+    a positive multiple of p has the same state.  A constant counts as
+    degree m = 1, which multiplies P by 1 - r > 0.  A cell (j, b) of column
+    i at level L is [j/n, (j+1)/n] with n = 2^L and its Bernstein
+    coefficients b, up to a positive factor; it is kept while b has a
+    negative coefficient.  Column i at level L is column 2i at level L + 1,
+    where each kept cell is halved once; level 0 is the column t = 1 as one
+    cell."""
 
-    def __init__(self, bp: BiPoly):
-        self.bp = bp
+    def __init__(self, p: Polynomial):
+        coeffs = [Fraction(0) if k == 1 else c for k, c in enumerate(p.coeffs)]
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        content = gcd(*ints)
+        self.m = m = max(p.degree, 1)
+        self.a = [c // content for c in ints] + [0] * (m + 1 - len(ints)) if content else []
+        self.weights = [factorial(k) * factorial(m - k) for k in range(m + 1)]
         self.level = 0
-        if bp.is_zero:
-            return
-        # 2^(a - b - 1) < |c| < 2^(a - b + 1) for a numerator of a bits and
-        # a denominator of b bits
-        e = 1 + max(c.numerator.bit_length() - c.denominator.bit_length()
-                    for row in bp.coeffs for c in row if c)
-        cmat = np.array([[_scaled_float(c, e) for c in row] for row in bp.coeffs])
-        self.cmat = cmat
-        self.cabs = np.abs(cmat)
-        nt, nr = cmat.shape
-        # generous bound on float evaluation error relative to sum of |terms|
-        self.gamma = 256.0 * nt * nr * 2.0**-53
-        # plus an absolute term for coefficients and products that underflow,
-        # where the relative bound says nothing: each term of the sum loses
-        # at most a few units of 2^-1074 to underflow, far below 2^-1020
-        self.floor = nt * nr * 2.0**-1020
+        self.columns: list[list[tuple[int, IntVector]]] = [[(0, self.column(1, 1))]]
+
+    def column(self, i: int, n: int) -> IntVector:
+        """Bernstein coefficients of P(i/n, .) on [0, 1] for the integer
+        coefficients a, times m! n^m: r^k (1-r)^(m-k) is B_{k,m}(r) / C(m, k),
+        so the k-th one is a_k ((-i)^k n^(m-k) + i n^(m-1)) k! (m-k)!."""
+        m = self.m
+        top = i * n ** (m - 1)
+        return [a * ((-i) ** k * n ** (m - k) + top) * w
+                for k, (a, w) in enumerate(zip(self.a, self.weights))]
 
 
 def _scan_grid(
     p: Polynomial, last_level: int = _GRID_DEPTH, scan: Optional[_GridScan] = None
 ) -> tuple[Optional[ConeWitness], dict]:
-    """Dyadic grid search for P < 0 on (0,1] x (0,1), exact sign decisions.
+    """Dyadic grid search for P < 0 on (0,1] x (0,1), in exact integers.
 
-    Floats only pre-filter, for every input: any point whose float value
-    cannot be proven nonnegative (via a rigorous rounding-error bound) is
-    decided by the exact cone value at its point, in lexicographic (t, r)
-    order, so the reported witness is the coarsest-level lexicographic-first
-    negative grid point, exactly as an all-exact scan would report.  Every
-    grid point maps back to a point 0 < mu <= rho of the cone, where P and
-    the cone value have the same sign.
+    Level L holds the points (i/n, j/n), n = 2^L, 1 <= i <= n, 1 <= j < n.
+    Each column i is searched for its smallest negative j by halving the
+    cells of its Bernstein form, so every sign is exact and a zero never
+    counts as negative.  The columns are taken in order, so the reported
+    witness is the coarsest-level lexicographic-first negative grid point.
+    An even column continues from its cells of the level above, an odd one
+    starts from [0, 1].  Every grid point maps back to a point
+    0 < mu <= rho of the cone, where P and the cone value have the same
+    sign.
 
-    A given scan state resumes after its last level and is advanced; either
-    way the search stops after level last_level.  The counters are this
-    call's work: levels scanned and exact evaluations.
+    A given scan state resumes after its last level and is advanced (a scan
+    that found a witness is spent); either way the search stops after level
+    last_level.  The counters are this call's work: levels scanned and
+    halvings, each of which decides the sign at one grid point.
     """
     counters = {"grid_levels": 0, "grid_exact_checks": 0}
     if scan is None:
-        scan = _GridScan(compactify(p))
-    if scan.bp.is_zero:
+        scan = _GridScan(p)
+    if not scan.a:
         return None, counters
-    cmat = scan.cmat
-    nt, nr = cmat.shape
     for level in range(scan.level + 1, last_level + 1):
         scan.level = level
         counters["grid_levels"] += 1
         n = 1 << level
-        ts = np.arange(1, n + 1, dtype=float) / n
-        rs = np.arange(1, n, dtype=float) / n
-        tpow = ts[:, None] ** np.arange(nt)
-        rpow = rs[:, None] ** np.arange(nr)
-        vals = tpow @ cmat @ rpow.T
-        margin = scan.gamma * (tpow @ scan.cabs @ rpow.T) + scan.floor
-        for i, j in np.argwhere(vals < margin):  # row-major == lex (t, r)
-            counters["grid_exact_checks"] += 1
-            r = Fraction(int(j) + 1, n)
-            rho = r / (1 - r)
-            mu = Fraction(int(i) + 1, n) * rho
-            value = ratio_value(p, rho, mu)
-            if value < 0:
-                return ConeWitness(rho=rho, mu=mu, value=value), counters
+        columns = []
+        for i in range(1, n + 1):
+            if i % 2:
+                cells = [(0, n, scan.column(i, n))]
+            else:
+                cells = [(2 * j, 2, b) for j, b in scan.columns[i // 2 - 1]]
+            pending: list[tuple[int, IntVector]] = []
+            for j, width, b in cells:
+                found = _first_negative(b, j, width, pending, counters)
+                if found is not None:
+                    r = Fraction(found, n)
+                    rho = r / (1 - r)
+                    mu = Fraction(i, n) * rho
+                    return ConeWitness(rho, mu, ratio_value(p, rho, mu)), counters
+            columns.append(pending)
+        scan.columns = columns
     return None, counters
 
 
@@ -679,10 +722,11 @@ def check_ratio(p: Polynomial) -> RatioVerdict:
         the odd part contributes exactly zero to the cone value.
 
     Then grid levels 1 .. 2 return FAILS on their first negative point, and
-    certify_ratio decides.  On a failure the grid resumes at level 3 and
-    runs to level 10, so the witness is the coarsest lexicographic-first
-    negative grid point; only when no grid point is negative does it come
-    from the decision.  The grid depth bounds that search, never the verdict.
+    certify_ratio decides.  On a failure the grid resumes at level 3 from
+    the cells that levels 1 .. 2 left unresolved and runs to level 10, so
+    the witness is the coarsest lexicographic-first negative grid point;
+    only when no grid point is negative does it come from the decision.  The
+    grid depth bounds that search, never the verdict.
     """
     counters = dict.fromkeys(("grid_levels", "grid_exact_checks") + _SEPARATION_COUNTERS, 0)
     if p.degree <= 1 and p.coefficient(0) == 0:
@@ -695,7 +739,7 @@ def check_ratio(p: Polynomial) -> RatioVerdict:
     if odd.degree <= 1 and check_nonneg_halfline(even).member:
         return RatioVerdict(RatioStatus.HOLDS, certificate="linear-odd-part",
                             budget_spent=counters)
-    scan = _GridScan(compactify(p))
+    scan = _GridScan(p)
     witness, spent = _scan_grid(p, _GRID_FIRST, scan)
     _add_spent(counters, spent)
     if witness is not None:

@@ -92,7 +92,7 @@ def test_cone_hooks_sum_the_grid_calls(spans):
             check_p2(p)
     count = tracer.counts["probe"]
     assert {key: count[key] for key in expected} == expected == {
-        "grid_levels": 2 + 1 + 4, "grid_exact_checks": 0 + 1 + 12}
+        "grid_levels": 2 + 1 + 4, "grid_exact_checks": 4 + 1 + 25}
     assert count["route_grid"] == 2  # the quintic and the deep refutation
     calls = tracer.totals("probe")[0]
     assert calls["cone.ratio"] == 3 and calls["cone.grid"] == 1 + 1 + 2

@@ -93,14 +93,14 @@ class TestReports:
         report = json.loads(capsys.readouterr().out)
         assert (code, report["status"]) == (0, "member")
         assert report["trail"][-1]["detail"] == "critical-points:2"
-        assert report["budget_spent"] == {"grid_levels": 2, "grid_exact_checks": 0,
+        assert report["budget_spent"] == {"grid_levels": 2, "grid_exact_checks": 4,
                                           "critical_points": 2, "critical_pairs": 0,
                                           "bisections": 4, "ties": 0}
         code = run(["check-p2", "x^5 - 1/100x^3 + x", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert (code, report["status"]) == (1, "not_member")
         assert report["witness_point"] == ["1/15", "1/240"]
-        assert report["budget_spent"] == {"grid_levels": 4, "grid_exact_checks": 12,
+        assert report["budget_spent"] == {"grid_levels": 4, "grid_exact_checks": 25,
                                           "critical_points": 2, "critical_pairs": 1,
                                           "bisections": 10, "ties": 0}
 
@@ -114,7 +114,7 @@ class TestReports:
         code = run(["check-p2", member, "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert (code, report["status"]) == (0, "member")
-        assert report["budget_spent"] == {"grid_levels": 2, "grid_exact_checks": 0,
+        assert report["budget_spent"] == {"grid_levels": 2, "grid_exact_checks": 4,
                                           "critical_points": 2, "critical_pairs": 0,
                                           "bisections": 4, "ties": 0}
 

@@ -140,13 +140,13 @@ class TestCheckP2:
         v = check_p2(CERTIFY_MEMBER)
         assert v.status is MembershipStatus.MEMBER
         assert v.certificate_trail[-1].detail == "critical-points:2"
-        assert v.budget_spent == {"grid_levels": 2, "grid_exact_checks": 0,
+        assert v.budget_spent == {"grid_levels": 2, "grid_exact_checks": 4,
                                   "critical_points": 2, "critical_pairs": 0,
                                   "bisections": 4, "ties": 0}
         v = check_p2(parse_polynomial("x^5 - 1/100x^3 + x"))
         assert v.status is MembershipStatus.NOT_MEMBER
         assert v.witness_point == (Fraction(1, 15), Fraction(1, 240))
-        assert v.budget_spent == {"grid_levels": 4, "grid_exact_checks": 12,
+        assert v.budget_spent == {"grid_levels": 4, "grid_exact_checks": 25,
                                   "critical_points": 2, "critical_pairs": 1,
                                   "bisections": 10, "ties": 0}
 
