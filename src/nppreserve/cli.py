@@ -188,10 +188,6 @@ def parse_polynomial(src: PolySource) -> Polynomial:
         if pos < n and text[pos].isalpha():
             raise UnsupportedCoefficient(f"unsupported symbol {text[pos]!r}", pos)
         if coeff is None and not has_x:
-            if pos < n and text[pos].isalpha():
-                raise UnsupportedCoefficient(
-                    f"unsupported symbol {text[pos]!r}", pos
-                )
             raise ParseError("expected a term", pos)
         value = coeff if coeff is not None else Fraction(1)
         acc[power] = acc.get(power, Fraction(0)) + sign * value

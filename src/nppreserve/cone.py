@@ -51,17 +51,14 @@ separate, and are decided by exact algebra instead:
     multiplication by p' modulo M, whose roots are the critical values;
   * phi(z2) = a1 exactly when z2 is a root of gcd(M, p - a1*z).
 
-check_ratio takes exact fast paths first, then scans the dyadic grid of
-the compactified form (below) for a canonical witness, runs the decision,
-and on a failure resumes the grid to its fixed depth of 10 levels; only if
-no grid point is negative does the witness come from the failing pair's
-intervals, as the rationals with the smallest denominators inside them.
-The grid picks the witness, never the verdict, and its depth and work are
-the same for p and for every positive multiple c*p.  It runs in integers
-only: each column of the grid is a univariate polynomial in r, searched in
-the Bernstein basis by halving cells with de Casteljau steps and pruning
-the cells whose coefficients have no sign variation (Descartes' rule, as
-in Vincent-Collins-Akritas root isolation).
+check_ratio takes exact fast paths first, then checks the 12 points of
+dyadic grid levels 1 and 2 of the compactified form (below) one by one, in
+exact integers, and returns the first negative one as the canonical
+witness; only then does it run the decision.  A failure found there keeps
+the decision's own witness: from the failing pair's intervals, as the
+rationals with the smallest denominators inside them, from the diagonal,
+or from infinity.  The grid picks the witness, never the verdict, and its
+work is the same for p and for every positive multiple c*p.
 
 The substitution mu = t*rho, rho = r/(1-r) compactifies the cone onto the
 unit square:
@@ -78,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, lcm
 from typing import Optional, Union
 
 from .halfline import check_nonneg_halfline
@@ -197,134 +194,44 @@ class RatioVerdict:
 # -- refutation --------------------------------------------------------------
 
 
-# grid levels scanned before the exact decision: their points are the
-# canonical witnesses of the common refutations, found without the decision
-_GRID_FIRST = 2
-# the deepest grid level: 2^10 x 2^10 points
-_GRID_DEPTH = 10
+# the deepest grid level: its points and those of level 1 are the canonical
+# witnesses of the common refutations, found before the exact decision runs
+_GRID_DEPTH = 2
 
 
-def _halve(b: IntVector) -> tuple[IntVector, IntVector]:
-    """Integer de Casteljau at 1/2: the Bernstein coefficients of the left
-    and the right half of a cell, each times 2^m for m = len(b) - 1.  The
-    last left coefficient is the first right one, 2^m times the value at
-    the midpoint."""
-    m = len(b) - 1
-    left, right = [b[0] << m], [b[m] << m]
-    row = b
-    for k in range(m - 1, -1, -1):
-        row = [x + y for x, y in zip(row, row[1:])]  # 2^(m-k) times the averages
-        left.append(row[0] << k)
-        right.append(row[-1] << k)
-    right.reverse()
-    return left, right
+def _scan_grid(p: Polynomial) -> tuple[Optional[ConeWitness], dict]:
+    """Grid search for P < 0 on (0,1] x (0,1), in exact integers.
 
+    Level L holds the points (t, r) = (i/n, j/n), n = 2^L, 1 <= i <= n,
+    1 <= j < n; levels 1 .. _GRID_DEPTH are visited in order, by column i
+    and then row j, skipping the points of the level above.  The first
+    negative point is the witness: the coarsest-level lexicographic-first
+    one.  A zero never counts as negative.
 
-def _first_negative(b: IntVector, j: int, width: int, pending: list, counters: dict
-                    ) -> Optional[int]:
-    """The smallest grid index in the open cell (j, j + width) where the
-    column with Bernstein coefficients b on that cell is negative, or None.
-
-    A cell with no negative coefficient has no sign variation, so by
-    Descartes' rule no root inside, and the column is nonnegative on it.
-    Otherwise the cell is halved, which decides the sign at its midpoint;
-    a cell of unit width holds no grid point, and goes to pending."""
-    if min(b) >= 0:
-        return None
-    if width == 1:
-        pending.append((j, b))
-        return None
-    left, right = _halve(b)
-    counters["grid_exact_checks"] += 1
-    half = width >> 1
-    found = _first_negative(left, j, half, pending, counters)
-    if found is not None:
-        return found
-    if left[-1] < 0:  # the midpoint
-        return j + half
-    return _first_negative(right, j + half, half, pending, counters)
-
-
-class _GridScan:
-    """Resume state of _scan_grid: the integer coefficients of p and, for
-    each column of the deepest level scanned so far, its unresolved cells.
-
-    The coefficients a are p's with the denominators cleared and the
-    positive content divided out, and a_1, which never enters P, set to 0:
-    a positive multiple of p has the same state.  A constant counts as
-    degree m = 1, which multiplies P by 1 - r > 0.  A cell (j, b) of column
-    i at level L is [j/n, (j+1)/n] with n = 2^L and its Bernstein
-    coefficients b, up to a positive factor; it is kept while b has a
-    negative coefficient.  Column i at level L is column 2i at level L + 1,
-    where each kept cell is halved once; level 0 is the column t = 1 as one
-    cell."""
-
-    def __init__(self, p: Polynomial):
-        coeffs = [Fraction(0) if k == 1 else c for k, c in enumerate(p.coeffs)]
-        den = lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in coeffs]
-        content = gcd(*ints)
-        self.m = m = max(p.degree, 1)
-        self.a = [c // content for c in ints] + [0] * (m + 1 - len(ints)) if content else []
-        self.weights = [factorial(k) * factorial(m - k) for k in range(m + 1)]
-        self.level = 0
-        self.columns: list[list[tuple[int, IntVector]]] = [[(0, self.column(1, 1))]]
-
-    def column(self, i: int, n: int) -> IntVector:
-        """Bernstein coefficients of P(i/n, .) on [0, 1] for the integer
-        coefficients a, times m! n^m: r^k (1-r)^(m-k) is B_{k,m}(r) / C(m, k),
-        so the k-th one is a_k ((-i)^k n^(m-k) + i n^(m-1)) k! (m-k)!."""
-        m = self.m
-        top = i * n ** (m - 1)
-        return [a * ((-i) ** k * n ** (m - k) + top) * w
-                for k, (a, w) in enumerate(zip(self.a, self.weights))]
-
-
-def _scan_grid(
-    p: Polynomial, last_level: int = _GRID_DEPTH, scan: Optional[_GridScan] = None
-) -> tuple[Optional[ConeWitness], dict]:
-    """Dyadic grid search for P < 0 on (0,1] x (0,1), in exact integers.
-
-    Level L holds the points (i/n, j/n), n = 2^L, 1 <= i <= n, 1 <= j < n.
-    Each column i is searched for its smallest negative j by halving the
-    cells of its Bernstein form, so every sign is exact and a zero never
-    counts as negative.  The columns are taken in order, so the reported
-    witness is the coarsest-level lexicographic-first negative grid point.
-    An even column continues from its cells of the level above, an odd one
-    starts from [0, 1].  Every grid point maps back to a point
-    0 < mu <= rho of the cone, where P and the cone value have the same
-    sign.
-
-    A given scan state resumes after its last level and is advanced (a scan
-    that found a witness is spent); either way the search stops after level
-    last_level.  The counters are this call's work: levels scanned and
-    halvings, each of which decides the sign at one grid point.
+    The point maps back to rho = j/q, mu = i*j/(n*q) with q = n - j, and
+    with H(x, d) = d^m f(x/d) for f the integer multiple of p (a constant
+    counts as degree m = 1) the cone value there has the sign of
+    H(-i*j, n*q) + i*n^(m-1)*H(j, q).  The counters are the levels visited
+    and the points evaluated.
     """
     counters = {"grid_levels": 0, "grid_exact_checks": 0}
-    if scan is None:
-        scan = _GridScan(p)
-    if not scan.a:
-        return None, counters
-    for level in range(scan.level + 1, last_level + 1):
-        scan.level = level
+    m = max(p.degree, 1)
+    den = lcm(*(c.denominator for c in p.coeffs))
+    f = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    f += [0] * (m + 1 - len(f))
+    for level in range(1, _GRID_DEPTH + 1):
         counters["grid_levels"] += 1
         n = 1 << level
-        columns = []
         for i in range(1, n + 1):
-            if i % 2:
-                cells = [(0, n, scan.column(i, n))]
-            else:
-                cells = [(2 * j, 2, b) for j, b in scan.columns[i // 2 - 1]]
-            pending: list[tuple[int, IntVector]] = []
-            for j, width, b in cells:
-                found = _first_negative(b, j, width, pending, counters)
-                if found is not None:
-                    r = Fraction(found, n)
-                    rho = r / (1 - r)
-                    mu = Fraction(i, n) * rho
+            top = i * n ** (m - 1)
+            for j in range(1, n):
+                if level > 1 and i % 2 == 0 and j % 2 == 0:
+                    continue  # a point of the level above
+                counters["grid_exact_checks"] += 1
+                q = n - j
+                if scaled_value(f, -i * j, n * q) + top * scaled_value(f, j, q) < 0:
+                    rho, mu = Fraction(j, q), Fraction(i * j, n * q)
                     return ConeWitness(rho, mu, ratio_value(p, rho, mu)), counters
-            columns.append(pending)
-        scan.columns = columns
     return None, counters
 
 
@@ -504,7 +411,7 @@ class _Separation:
         self._edge: Optional[IntVector] = None
 
     def _value(self, f: IntVector, x: Fraction) -> Fraction:
-        return Fraction(scaled_value(f, x), x.denominator ** (len(f) - 1) * self.den)
+        return Fraction(scaled_value(f, x.numerator, x.denominator), x.denominator ** (len(f) - 1) * self.den)
 
     def enclose(self, z: _Root) -> tuple[Fraction, Fraction]:
         """Bounds on p' over the closed interval of z, so on phi(z): the
@@ -721,12 +628,10 @@ def check_ratio(p: Polynomial) -> RatioVerdict:
       * odd part equal to c*x and even part nonnegative on the half line:
         the odd part contributes exactly zero to the cone value.
 
-    Then grid levels 1 .. 2 return FAILS on their first negative point, and
-    certify_ratio decides.  On a failure the grid resumes at level 3 from
-    the cells that levels 1 .. 2 left unresolved and runs to level 10, so
-    the witness is the coarsest lexicographic-first negative grid point;
-    only when no grid point is negative does it come from the decision.  The
-    grid depth bounds that search, never the verdict.
+    Then the grid of levels 1 .. 2 returns FAILS on its first negative
+    point, and certify_ratio decides; a failure it finds keeps the witness
+    of the failing pair, the diagonal or infinity.  The grid picks the
+    witness of the common refutations, never the verdict.
     """
     counters = dict.fromkeys(("grid_levels", "grid_exact_checks") + _SEPARATION_COUNTERS, 0)
     if p.degree <= 1 and p.coefficient(0) == 0:
@@ -739,17 +644,11 @@ def check_ratio(p: Polynomial) -> RatioVerdict:
     if odd.degree <= 1 and check_nonneg_halfline(even).member:
         return RatioVerdict(RatioStatus.HOLDS, certificate="linear-odd-part",
                             budget_spent=counters)
-    scan = _GridScan(p)
-    witness, spent = _scan_grid(p, _GRID_FIRST, scan)
+    witness, spent = _scan_grid(p)
     _add_spent(counters, spent)
     if witness is not None:
         return RatioVerdict(RatioStatus.FAILS, witness=witness, budget_spent=counters)
     decided = certify_ratio(p)
     _add_spent(counters, decided.budget_spent)
-    if decided.status is RatioStatus.HOLDS:
-        return RatioVerdict(RatioStatus.HOLDS, certificate=decided.certificate,
-                            budget_spent=counters)
-    witness, spent = _scan_grid(p, _GRID_DEPTH, scan)
-    _add_spent(counters, spent)
-    return RatioVerdict(RatioStatus.FAILS, witness=witness or decided.witness,
-                        budget_spent=counters)
+    return RatioVerdict(decided.status, witness=decided.witness,
+                        certificate=decided.certificate, budget_spent=counters)

@@ -437,10 +437,9 @@ def count_roots(f: IntVector, lo: Endpoint, hi: Endpoint) -> int:
     return count_unit_roots(g) + (sum(g) == 0)
 
 
-def scaled_value(f: IntVector, x: Fraction) -> int:
-    """den(x)^n * f(x) for an integer vector of degree n: an integer with
-    the sign of f(x)."""
-    num, den = x.numerator, x.denominator
+def scaled_value(f: IntVector, num: int, den: int) -> int:
+    """den^n * f(num/den) for an integer vector of degree n and den > 0: an
+    integer with the sign of f(num/den)."""
     acc, scale = 0, 1
     for c in reversed(f):
         acc = acc * num + c * scale
@@ -450,7 +449,7 @@ def scaled_value(f: IntVector, x: Fraction) -> int:
 
 def sign_at(f: IntVector, x: Fraction) -> int:
     """The sign of f(x): -1, 0 or 1."""
-    v = scaled_value(f, x)
+    v = scaled_value(f, x.numerator, x.denominator)
     return (v > 0) - (v < 0)
 
 
@@ -498,7 +497,7 @@ def isolate_roots(f: IntVector) -> list[tuple[Fraction, Fraction]]:
         if exact:
             # no root lies between the previous interval's end and this one
             lo = out[-1][1] if out else hi - 1
-        elif scaled_value(f, hi) == 0:
+        elif sign_at(f, hi) == 0:
             # hi is the next root, met at a bisection point: pull hi below it.
             # f has the sign s just left of hi, and -s left of this leaf's root.
             s = -sign_at(_derivative(f), hi)

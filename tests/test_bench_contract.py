@@ -76,12 +76,12 @@ def test_uninstall_restores_the_program(spans):
 
 
 def test_cone_hooks_sum_the_grid_calls(spans):
-    # check_ratio scans grid levels 1-2, decides, and on a failure resumes
-    # the grid; the grid hook adds up each call's counters to check_ratio's
-    # own totals.  The cone.bernstein span wraps certify_ratio, the exact
-    # decision: the member and the level-4 refutation reach it, the
-    # quintic, refuted at grid level 1, does not
-    deep = parse_polynomial("x^5 - 1/100x^3 + x")  # witness at grid level 4
+    # check_ratio scans grid levels 1-2 once, then decides; the grid hook
+    # adds up each call's counters to check_ratio's own totals.  The
+    # cone.bernstein span wraps certify_ratio, the exact decision: the member
+    # and the refutation below the grid reach it, the quintic, refuted at
+    # grid level 1, does not
+    deep = parse_polynomial("x^5 - 1/100x^3 + x")  # no grid point is negative
     expected = {"grid_levels": 0, "grid_exact_checks": 0}
     for p in (CERTIFY_MEMBER, QUINTIC, deep):
         for key in expected:
@@ -92,10 +92,10 @@ def test_cone_hooks_sum_the_grid_calls(spans):
             check_p2(p)
     count = tracer.counts["probe"]
     assert {key: count[key] for key in expected} == expected == {
-        "grid_levels": 2 + 1 + 4, "grid_exact_checks": 4 + 1 + 25}
+        "grid_levels": 2 + 1 + 2, "grid_exact_checks": 12 + 1 + 12}
     assert count["route_grid"] == 2  # the quintic and the deep refutation
     calls = tracer.totals("probe")[0]
-    assert calls["cone.ratio"] == 3 and calls["cone.grid"] == 1 + 1 + 2
+    assert calls["cone.ratio"] == 3 and calls["cone.grid"] == 1 + 1 + 1
     assert calls["cone.bernstein"] == 2
     assert "cone.bernstein" in tracer.traced
 

@@ -93,14 +93,14 @@ class TestReports:
         report = json.loads(capsys.readouterr().out)
         assert (code, report["status"]) == (0, "member")
         assert report["trail"][-1]["detail"] == "critical-points:2"
-        assert report["budget_spent"] == {"grid_levels": 2, "grid_exact_checks": 4,
+        assert report["budget_spent"] == {"grid_levels": 2, "grid_exact_checks": 12,
                                           "critical_points": 2, "critical_pairs": 0,
                                           "bisections": 4, "ties": 0}
         code = run(["check-p2", "x^5 - 1/100x^3 + x", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert (code, report["status"]) == (1, "not_member")
-        assert report["witness_point"] == ["1/15", "1/240"]
-        assert report["budget_spent"] == {"grid_levels": 4, "grid_exact_checks": 25,
+        assert report["witness_point"] == ["1/14", "1/28"]
+        assert report["budget_spent"] == {"grid_levels": 2, "grid_exact_checks": 12,
                                           "critical_points": 2, "critical_pairs": 1,
                                           "bisections": 10, "ties": 0}
 
@@ -114,7 +114,7 @@ class TestReports:
         code = run(["check-p2", member, "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert (code, report["status"]) == (0, "member")
-        assert report["budget_spent"] == {"grid_levels": 2, "grid_exact_checks": 4,
+        assert report["budget_spent"] == {"grid_levels": 2, "grid_exact_checks": 12,
                                           "critical_points": 2, "critical_pairs": 0,
                                           "bisections": 4, "ties": 0}
 
@@ -207,7 +207,7 @@ class TestReports:
         cases = [
             ("x^5 - 2x^3 + 2x", 1),  # level 1 refutes
             ("x^5 - 3x^3 + 9/4*x", 1),  # spectral failure
-            ("x^5 - 1/100x^3 + x", 1),  # decided on the critical pair, witness at level 4
+            ("x^5 - 1/100x^3 + x", 1),  # decided on the critical pair, below the grid
             ("3/2x^4 + 3/2x^3 - 9/4x^2 + 3x + 27/32", 0),  # touches zero on the diagonal
             ("x^8 + 2x^7 - 6x^6 - 18x^5 + 5x^4 + 36x^3 + 20x^2 + 125x", 0),  # interior touch
         ]

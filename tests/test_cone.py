@@ -10,7 +10,6 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -152,25 +151,28 @@ class TestRefute:
 
     def test_square_never_refuted(self):
         assert cone._scan_grid(Polynomial((0, 0, 1)))[0] is None
-        assert cone._scan_grid(Polynomial((0, 0, 1)), 6)[0] is None
 
     def test_zero_ratio_form(self):
         assert cone._scan_grid(parse_polynomial("-x"))[0] is None
 
     def test_coefficients_beyond_float_range(self):
         p = Polynomial((-(10**400), 0, 1))
-        w = cone._scan_grid(p, 2)[0]
+        w = cone._scan_grid(p)[0]
         assert w is not None
         assert ratio_value(p, w.rho, w.mu) == w.value < 0
 
     def test_terms_that_underflow(self):
         # P = r^109 * ((t^110 + t)*r - (t - t^109)*(1 - r)/512) is negative
-        # only for r < 1/512, so only on level 10, in the cells next to r = 0
-        # that every column keeps unresolved down to that level
+        # only for r < 1/512, below every grid point, so the witness comes
+        # from the exact decision's failing pair, at once
         p = Polynomial.monomial(110, 1) - Polynomial.monomial(109, Fraction(1, 512))
         w, counters = cone._scan_grid(p)
-        assert counters["grid_levels"] == 10
-        assert (w.rho, w.mu) == (Fraction(1, 1023), Fraction(1, 1023 * 1024))
+        assert w is None
+        assert counters == {"grid_levels": 2, "grid_exact_checks": 12}
+        with deadline(0.5):
+            verdict = check_ratio(p)
+        w = verdict.witness
+        assert (w.rho, w.mu) == (Fraction(27, 13952), Fraction(27, 27904))
         assert ratio_value(p, w.rho, w.mu) == w.value < 0
 
     def test_witnesses_are_exact(self):
@@ -178,7 +180,7 @@ class TestRefute:
         found = 0
         for _ in range(60):
             p = random_polynomial(rng)
-            w = cone._scan_grid(p, 6)[0]
+            w = cone._scan_grid(p)[0]
             if w is not None:
                 found += 1
                 assert 0 < w.mu <= w.rho
@@ -186,22 +188,28 @@ class TestRefute:
         assert found > 10
 
 
-def exact_grid_scan(p, last_level):
+def exact_grid_scan(p, last_level=2):
     """The grid scan as reference: every point of levels 1 .. last_level in
     lexicographic (t, r) order, in Fraction only.  Returns the first
-    negative point's witness and the levels scanned."""
+    negative point's witness and the counters of _scan_grid: the levels
+    scanned and the distinct points evaluated."""
+    counters = {"grid_levels": 0, "grid_exact_checks": 0}
     bp = compactify(p)
-    if bp.is_zero:
-        return None, 0
+    seen = set()
     for level in range(1, last_level + 1):
+        counters["grid_levels"] = level
         n = 1 << level
         for i in range(1, n + 1):
             for j in range(1, n):
                 t, r = Fraction(i, n), Fraction(j, n)
+                if (t, r) in seen:
+                    continue
+                seen.add((t, r))
+                counters["grid_exact_checks"] = len(seen)
                 if bp.eval(t, r) < 0:
                     rho = r / (1 - r)
-                    return ConeWitness(rho, t * rho, ratio_value(p, rho, t * rho)), level
-    return None, last_level
+                    return ConeWitness(rho, t * rho, ratio_value(p, rho, t * rho)), counters
+    return None, counters
 
 
 def extreme_polynomial(rng):
@@ -220,93 +228,37 @@ class TestGridAgainstExactScan:
         seen = set()
         for _ in range(200):
             p = extreme_polynomial(rng)
-            last_level = rng.randint(1, 4)
-            want = exact_grid_scan(p, last_level)
-            w, counters = cone._scan_grid(p, last_level)
-            assert (w, counters["grid_levels"]) == want, str(p)
+            w, counters = cone._scan_grid(p)
+            assert (w, counters) == exact_grid_scan(p), str(p)
             seen.add(None if w is None else (w.mu == w.rho, counters["grid_levels"]))
-        # no witness, witnesses on the row t = 1, and one below level 2
-        assert None in seen and {(True, 1), (True, 2), (False, 3)} <= seen
+        # no witness, and witnesses on the row t = 1 at both levels
+        assert None in seen and {(True, 1), (True, 2)} <= seen
 
     def test_seeded_inputs_and_a_zero_at_a_grid_point(self):
         # TOUCH_AT_GRID's cone form is zero at the level-1 grid point
         # t = r = 1/2 and positive elsewhere nearby: a zero is never negative.
-        # Perturbed, the same point is the witness.
+        # Perturbed, the same point is the witness.  No fast path takes a
+        # constant or a linear p with a0 < 0, so direct check_ratio calls
+        # reach the grid, where a constant counts as degree 1.
         rng = random.Random(1414)
+        below_two = [Polynomial((-1,)), parse_polynomial("x - 1")]
         inputs = [TOUCH_AT_GRID, TOUCH_AT_GRID - Polynomial.monomial(4, Fraction(1, 10**6)),
-                  *(p for p, _ in DEEP_REFUTATIONS), EDGE_NEGATIVE]
+                  *(p for p, _ in DEEP_REFUTATIONS), EDGE_NEGATIVE, *below_two]
         inputs += [random_polynomial(rng, 7) for _ in range(30)]
         outcomes = set()
         for p in inputs:
-            want = exact_grid_scan(p, 5)
-            w, counters = cone._scan_grid(p, 5)
-            assert (w, counters["grid_levels"]) == want, str(p)
-            # a scan resumed after level 2 does the one call's work
-            scan = cone._GridScan(p)
-            first, spent = cone._scan_grid(p, 2, scan)
-            if first is None:
-                rest, more = cone._scan_grid(p, 5, scan)
-                assert rest == w, str(p)
-                assert {k: spent[k] + more[k] for k in spent} == counters, str(p)
+            w, counters = cone._scan_grid(p)
+            assert (w, counters) == exact_grid_scan(p), str(p)
             outcomes.add(None if w is None else counters["grid_levels"])
-        assert cone._scan_grid(TOUCH_AT_GRID, 5)[0] is None
-        w = cone._scan_grid(inputs[1], 5)[0]
+        assert cone._scan_grid(TOUCH_AT_GRID)[0] is None
+        w = cone._scan_grid(inputs[1])[0]
         assert (w.rho, w.mu) == (1, Fraction(1, 2))
-        assert {None, 1, 2, 4} <= outcomes
-
-
-def fraction_halves(b):
-    """Bernstein coefficients of the same polynomial on [0, 1/2] and on
-    [1/2, 1], by de Casteljau's averages in Fraction."""
-    rows = [[Fraction(c) for c in b]]
-    while len(rows[-1]) > 1:
-        row = rows[-1]
-        rows.append([(x + y) / 2 for x, y in zip(row, row[1:])])
-    return [row[0] for row in rows], [row[-1] for row in reversed(rows)]
-
-
-def column_bernstein(p, t, m):
-    """Bernstein coefficients of degree m of P(t, .) from compactify(p)."""
-    power = [Fraction(0)] * (m + 1)
-    for i, row in enumerate(compactify(p).coeffs):
-        for j, c in enumerate(row):
-            power[j] += c * t**i
-    return [sum(Fraction(comb(k, j), comb(m, j)) * power[j] for j in range(k + 1))
-            for k in range(m + 1)]
-
-
-class TestHalving:
-    def test_halves_against_fraction_de_casteljau(self):
-        # the integer column is a positive multiple of the column's Bernstein
-        # form; halving it gives 2^m times that multiple of the Fraction
-        # halves, and the shared coefficient is 2^m times it of P(t, 1/2)
-        rng = random.Random(77)
-        checked = 0
-        for _ in range(40):
-            p = random_polynomial(rng, 7)
-            if p.degree < 2:
-                continue
-            scan = cone._GridScan(p)
-            m = scan.m
-            for n in (1, 2, 8, 32):
-                i = rng.randint(1, n)
-                b = scan.column(i, n)
-                beta = column_bernstein(p, Fraction(i, n), m)
-                nonzero = [k for k in range(m + 1) if beta[k]]
-                if not nonzero:
-                    assert not any(b)
-                    continue
-                scale = Fraction(b[nonzero[0]]) / beta[nonzero[0]]
-                assert scale > 0
-                assert b == [scale * c for c in beta]
-                left, right = cone._halve(b)
-                want_left, want_right = fraction_halves(beta)
-                assert left == [scale * 2**m * c for c in want_left], str(p)
-                assert right == [scale * 2**m * c for c in want_right], str(p)
-                middle = compactify(p).eval(Fraction(i, n), Fraction(1, 2))
-                assert left[-1] == right[0] == scale * 2**m * middle
-                checked += 1
-        assert checked > 60
+        assert {None, 1, 2} <= outcomes
+        for p in below_two:
+            w, counters = exact_grid_scan(p)
+            verdict = check_ratio(p)
+            assert verdict.witness == w is not None, str(p)
+            assert {k: verdict.budget_spent[k] for k in counters} == counters, str(p)
 
 
 def test_import_loads_no_numpy():
@@ -408,7 +360,7 @@ class TestCheckRatio:
         for p in corpus200:
             verdict = check_ratio(p)
             if isinstance(verdict.certificate, str):
-                assert cone._scan_grid(p, 7)[0] is None, str(p)
+                assert cone.certify_ratio(p).status is RatioStatus.HOLDS, str(p)
 
     def test_odd_crossing_fails(self):
         # ratio value factors as mu*rho*(rho^2-mu^2)*(rho^2+mu^2-1): negative near 0
@@ -418,9 +370,10 @@ class TestCheckRatio:
         assert ratio_value(parse_polynomial("x^5 - x^3 + x"), w.rho, w.mu) < 0
 
 
-def serial_check_ratio(p, max_boxes=DEFAULT_MAX_BOXES, grid_depth=cone._GRID_DEPTH):
-    """The former cone check, as reference: the fast paths, then grid levels
-    1 .. grid_depth, then the Bernstein box certifier within max_boxes boxes."""
+def serial_check_ratio(p, max_boxes=DEFAULT_MAX_BOXES, grid_depth=2):
+    """The former cone check, as reference: the fast paths, then the
+    reference grid of levels 1 .. grid_depth, then the Bernstein box
+    certifier within max_boxes boxes."""
     counters = {"grid_levels": 0, "grid_exact_checks": 0,
                 "boxes_processed": 0, "boxes_certified": 0}
     if p.degree <= 1 and p.coefficient(0) == 0:
@@ -433,7 +386,7 @@ def serial_check_ratio(p, max_boxes=DEFAULT_MAX_BOXES, grid_depth=cone._GRID_DEP
     if odd.degree <= 1 and check_nonneg_halfline(even).member:
         return RatioVerdict(RatioStatus.HOLDS, certificate="linear-odd-part",
                             budget_spent=counters)
-    witness, grid_counters = cone._scan_grid(p, grid_depth)
+    witness, grid_counters = exact_grid_scan(p, grid_depth)
     counters.update(grid_counters)
     if witness is not None:
         return RatioVerdict(RatioStatus.FAILS, witness=witness, budget_spent=counters)
@@ -446,14 +399,20 @@ def serial_check_ratio(p, max_boxes=DEFAULT_MAX_BOXES, grid_depth=cone._GRID_DEP
 GRID_KEYS = ("grid_levels", "grid_exact_checks")
 
 # spectral members whose cone value rho*mu*(rho^2 - mu^2)*(rho^2 + mu^2 - a)
-# is negative only for rho < sqrt(a): first witness at grid level 4, 6 and 7
+# is negative only for rho < sqrt(a): the first negative dyadic point lies
+# at level 4, 6 and 7, below the grid, so the witness comes from the
+# decision's failing pair
 DEEP_REFUTATIONS = [
     (parse_polynomial("x^5 - 1/100x^3 + x"), 4),
     (parse_polynomial("x^5 - 1/1000x^3 + x"), 6),
     (parse_polynomial("x^5 - 1/10000x^3 + x"), 7),
 ]
+PAIR_WITNESSES = {4: (Fraction(1, 14), Fraction(1, 28)), 6: (Fraction(1, 45), Fraction(1, 90)),
+                  7: (Fraction(1, 142), Fraction(1, 284))}
 MEMBER_17_BOXES = parse_polynomial("4/3x^4 + 3/4x^3 - 3/2x^2 + x + 1/2")
-EDGE_NEGATIVE = parse_polynomial("x^2 - 1/1000")  # P(t, 0) < 0; first witness at level 4
+# P(t, 0) < 0 only near r = 0, below the grid: the even part fails on the
+# diagonal, and the witness comes from there
+EDGE_NEGATIVE = parse_polynomial("x^2 - 1/1000")
 
 
 def assert_exact(p, verdict):
@@ -495,9 +454,12 @@ class TestLockstepAgainstSerial:
             degree = rng.randint(4, 7)
             coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(degree)]
             p = Polynomial(coeffs + [1])
-            if not check_spectral(p).member or isinstance(serial_check_ratio(p).certificate, str):
+            if not check_spectral(p).member or isinstance(check_ratio(p).certificate, str):
                 continue
-            routes[str(p)] = assert_same_as_serial(p).status
+            # the members need at most 11 boxes; the one refutation lies
+            # below the reference grid, where the reference gives up at any
+            # box budget
+            routes[str(p)] = assert_same_as_serial(p, max_boxes=256).status
         assert set(routes.values()) == {RatioStatus.HOLDS, RatioStatus.FAILS}
 
     def test_quintic_family(self):
@@ -512,11 +474,15 @@ class TestLockstepAgainstSerial:
 
     @pytest.mark.parametrize("p, level", DEEP_REFUTATIONS)
     def test_refutations_below_level_three(self, p, level):
-        # the decision fails on the pair of critical points +-sqrt(a/2), then
-        # the grid resumes at level 3 and finds the canonical witness
-        verdict = assert_same_as_serial(p)
+        # the decision fails on the pair of critical points +-sqrt(a/2), and
+        # the simplest rationals in their intervals are the witness
+        w, counters = exact_grid_scan(p, level)
+        assert w is not None and counters["grid_levels"] == level
+        verdict = check_ratio(p)
+        assert_exact(p, verdict)
         assert verdict.status is RatioStatus.FAILS
-        assert verdict.budget_spent["grid_levels"] == level
+        assert (verdict.witness.rho, verdict.witness.mu) == PAIR_WITNESSES[level]
+        assert verdict.budget_spent["grid_levels"] == 2
         assert verdict.budget_spent["critical_points"] == 2
 
     def test_fixed_grid_depth(self):
@@ -529,11 +495,19 @@ class TestLockstepAgainstSerial:
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_grid_depth_budgets(self, depth):
         # check_ratio has no grid budget; a reference grid too shallow for the
-        # witness leaves the reference undecided, and a deep enough one finds
-        # the witness check_ratio reports, at the same level and points
+        # witness leaves the reference undecided.  Down to level 2 the
+        # reference finds the witness check_ratio reports, at the same level
+        # and points; deeper it may find another, and both are exact
         for p in (CERTIFY_MEMBER, MEMBER_17_BOXES, QUINTIC, DEEP_REFUTATIONS[0][0],
                   EDGE_NEGATIVE):
-            assert_same_as_serial(p, max_boxes=64, grid_depth=depth)
+            if depth <= 2:
+                assert_same_as_serial(p, max_boxes=64, grid_depth=depth)
+                continue
+            got, want = check_ratio(p), serial_check_ratio(p, 64, depth)
+            assert_exact(p, got)
+            if want.status is not GAVE_UP:
+                assert_exact(p, want)
+                assert got.status is want.status, str(p)
 
     def test_box_budgets(self):
         # check_ratio has no box budget; the reference has, and cannot
@@ -653,7 +627,7 @@ class TestSeparation:
         assert check_spectral(p).member
         verdict = decide(p)
         assert verdict.status is RatioStatus.FAILS
-        assert verdict.budget_spent["grid_levels"] == 10  # no grid point is negative
+        assert verdict.budget_spent["grid_levels"] == 2  # no grid point is negative
         # the witness is the simplest rational in each refined interval
         w = verdict.witness
         assert (w.rho, w.mu) == (Fraction(97612895, 48806447), Fraction(11999212, 11999211))
@@ -716,9 +690,9 @@ class TestSeparation:
 
 
 class TestScaleInvariance:
-    # c*p has the cone value of p times c > 0, and the grid scan divides the
-    # content out of p's integer coefficients: the same verdict, witness,
-    # grid levels and halvings at every scale
+    # c*p has the cone value of p times c > 0, so every grid point has the
+    # same sign: the same verdict, witness, grid levels and grid points at
+    # every scale
     INPUTS = [QUINTIC, *(p for p, _ in DEEP_REFUTATIONS), EDGE_NEGATIVE, CERTIFY_MEMBER,
               INTERIOR_TOUCH - Polynomial.monomial(4, Fraction(1, 10**6))]
     SCALES = [Fraction(10**400), Fraction(1, 10**400), Fraction(2**1100), Fraction(1, 2**1100)]

@@ -134,19 +134,19 @@ class TestCheckP2:
         assert horner_matrix_eval(MONOTONE_BREAKER, v.witness_matrix).min_entry < 0
 
     def test_cone_effort_counters(self):
-        # the member is decided after grid levels 1 and 2: its two critical
-        # points form no pair of the cone; the level-4 refutation compared
-        # one pair before the grid resumed
+        # the member is decided after the 12 points of grid levels 1 and 2:
+        # its two critical points form no pair of the cone; the refutation
+        # below the grid compared one pair, whose intervals give the witness
         v = check_p2(CERTIFY_MEMBER)
         assert v.status is MembershipStatus.MEMBER
         assert v.certificate_trail[-1].detail == "critical-points:2"
-        assert v.budget_spent == {"grid_levels": 2, "grid_exact_checks": 4,
+        assert v.budget_spent == {"grid_levels": 2, "grid_exact_checks": 12,
                                   "critical_points": 2, "critical_pairs": 0,
                                   "bisections": 4, "ties": 0}
         v = check_p2(parse_polynomial("x^5 - 1/100x^3 + x"))
         assert v.status is MembershipStatus.NOT_MEMBER
-        assert v.witness_point == (Fraction(1, 15), Fraction(1, 240))
-        assert v.budget_spent == {"grid_levels": 4, "grid_exact_checks": 25,
+        assert v.witness_point == (Fraction(1, 14), Fraction(1, 28))
+        assert v.budget_spent == {"grid_levels": 2, "grid_exact_checks": 12,
                                   "critical_points": 2, "critical_pairs": 1,
                                   "bisections": 10, "ties": 0}
 
