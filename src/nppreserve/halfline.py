@@ -1,9 +1,12 @@
 """Decide nonnegativity of a rational polynomial on the half line [0, inf).
 
-The decision itself is fully exact: leading sign, value at 0, Descartes'
-rule of signs on the coefficients, then the integer root kernel's count of
-the odd-multiplicity roots on (0, inf).  Rejections come with a rational
-witness point where the polynomial is exactly negative.
+The decision is exact and runs on one integer vector: the polynomial times
+the lcm of its denominators, which has the polynomial's sign at every
+point.  The leading sign, the value at 0, Descartes' rule of signs and the
+integer root kernel's count of the odd-multiplicity roots on (0, inf) are
+read from it.  Rejections come with a rational witness point where the
+polynomial is exactly negative, and that point is found on the same
+vector: the Cauchy bound and the signs tested while bisecting toward it.
 
 For members, :func:`polya_szego_certificate` extracts a numeric
 decomposition p = f1^2 + f2^2 + x*(g1^2 + g2^2) whose coefficients are
@@ -23,10 +26,12 @@ from .polynomial import (
     POS_INF,
     IntVector,
     Polynomial,
-    cauchy_bound,
+    _primitive,
+    cauchy_bound_vector,
+    cleared_vector,
     count_roots,
-    integer_vector,
     odd_part_vector,
+    sign_at,
     sign_variations,
     square_free_decompose,
 )
@@ -51,18 +56,18 @@ class HalflineVerdict:
     trace: Optional[str] = None
 
 
-def _point_below_largest_root(p: Polynomial, odd_part: IntVector) -> Fraction:
-    """Rational point 0 < a < (largest root of odd_part) with p(a) < 0, exact.
+def _point_below_largest_root(f: IntVector, odd_part: IntVector) -> Fraction:
+    """Rational point 0 < a < (largest root of odd_part) with f(a) < 0, exact.
 
     Bisects toward the largest sign-change root from below; immediately left
-    of it p is strictly negative down to the previous root of p, so the
+    of it f is strictly negative down to the previous root of f, so the
     shrinking left endpoint eventually lands in that negativity interval.
     No root of odd_part lies above b, so the question "is there a root
     above mid?" is a count on (mid, b], which stays short as b shrinks.
     """
-    a, b = Fraction(0), cauchy_bound(p)
+    a, b = Fraction(0), cauchy_bound_vector(f)
     while True:
-        if a > 0 and p(a) < 0:
+        if a > 0 and sign_at(f, a) < 0:
             return a
         mid = (a + b) / 2
         if count_roots(odd_part, mid, b) >= 1:
@@ -74,28 +79,30 @@ def _point_below_largest_root(p: Polynomial, odd_part: IntVector) -> Fraction:
 def check_nonneg_halfline(p: Polynomial) -> HalflineVerdict:
     """Exact test of p(x) >= 0 for all x >= 0, with witness extraction.
 
-    A sign change on (0, inf) happens exactly at an odd-multiplicity root,
-    so after the leading-sign and value-at-0 gates the decision reduces to
-    counting the positive roots of the odd-multiplicity square-free factors.
+    The whole decision, witnesses included, runs on f = L*p, where L is the
+    lcm of p's denominators; f has the sign of p at every point.  A sign
+    change on (0, inf) happens exactly at an odd-multiplicity root, so after
+    the leading-sign and value-at-0 gates the decision reduces to counting
+    the positive roots of the odd-multiplicity square-free factors.
     Coefficients without a sign change admit no positive root at all, which
     decides most members before any factoring.  A root at 0 never rejects
     by itself.
     """
-    if p.is_zero:
+    f, _ = cleared_vector(p)
+    if not f:
         return HalflineVerdict(member=True)
-    if p.leading < 0:
+    if f[-1] < 0:
         # beyond the Cauchy radius the sign equals the leading sign
-        return HalflineVerdict(member=False, witness=cauchy_bound(p), trace="leading-sign")
-    if p(0) < 0:
+        return HalflineVerdict(member=False, witness=cauchy_bound_vector(f), trace="leading-sign")
+    if f[0] < 0:
         return HalflineVerdict(member=False, witness=Fraction(0), trace="value-at-0")
-    f = integer_vector(p)
     if sign_variations(f) == 0:
         return HalflineVerdict(member=True)
-    odd = odd_part_vector(f)
+    odd = odd_part_vector(_primitive(f))
     if count_roots(odd, 0, POS_INF) == 0:
         return HalflineVerdict(member=True)
     return HalflineVerdict(
-        member=False, witness=_point_below_largest_root(p, odd), trace="odd-root"
+        member=False, witness=_point_below_largest_root(f, odd), trace="odd-root"
     )
 
 

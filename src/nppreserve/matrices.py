@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .polynomial import Polynomial, cauchy_bound
+from .polynomial import Polynomial, cauchy_bound, cleared_vector
 
 Rational = Union[Fraction, int, str]
 
@@ -32,7 +32,9 @@ class Matrix2:
 
     def __post_init__(self):
         for name in ("a11", "a12", "a21", "a22"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
 
     @classmethod
     def identity(cls) -> "Matrix2":
@@ -105,9 +107,19 @@ def _cayley_hamilton(coeffs, t, d):
 
 
 def horner_matrix_eval(p: Polynomial, a: Matrix2) -> Matrix2:
-    """Exact p(A), by Horner reduced modulo the characteristic polynomial of A."""
-    u, v = _cayley_hamilton(p.coeffs, a.trace(), a.det())
-    return Matrix2(u * a.a11 + v, u * a.a12, u * a.a21, u * a.a22 + v)
+    """Exact p(A), by Horner reduced modulo the characteristic polynomial of A.
+
+    Runs in integers: with D the lcm of the entry denominators, M = D*A is
+    integral and q(M) = L * D^m * p(A) (see cleared_vector), so only the
+    four entries of q(M) are divided, once each.
+    """
+    den = math.lcm(*[e.denominator for e in a.entries])
+    m11, m12, m21, m22 = (e.numerator * (den // e.denominator) for e in a.entries)
+    q, p_den = cleared_vector(p, den)
+    u, v = _cayley_hamilton(q, m11 + m22, m11 * m22 - m12 * m21)
+    divisor = p_den * den ** max(p.degree, 0)
+    return Matrix2(Fraction(u * m11 + v, divisor), Fraction(u * m12, divisor),
+                   Fraction(u * m21, divisor), Fraction(u * m22 + v, divisor))
 
 
 @dataclass(frozen=True)
@@ -198,20 +210,6 @@ _DYADIC = 64  # denominator of the sampled rho, mu and uniform entries
 _SCALE = 2 * _DYADIC  # (rho +- mu)/2 halves it: every sampled A has 128*A integral
 
 
-def _scaled_coefficients(p: Polynomial) -> list[int]:
-    """Integer coefficients b_k of q(x) = L * 128^m * p(x / 128).
-
-    L is the lcm of the denominators of p and m its degree, so q(128*A) =
-    L * 128^m * p(A) has the entry signs of p(A).
-    """
-    lcm = 1
-    for c in p.coeffs:
-        lcm = math.lcm(lcm, c.denominator)
-    top = len(p.coeffs) - 1
-    return [c.numerator * (lcm // c.denominator) * _SCALE ** (top - k)
-            for k, c in enumerate(p.coeffs)]
-
-
 def falsify_random(p: Polynomial, trials: int, seed: int = 0) -> Optional[Matrix2]:
     """Search for a nonnegative matrix A with some entry of p(A) negative.
 
@@ -230,17 +228,18 @@ def _falsify(p: Polynomial, trials: int, seed: int) -> tuple[Optional[Matrix2], 
     """falsify_random's search; also returns the number of trials it ran.
 
     Each trial decides the signs of p(A) in plain ints: M = 128*A is
-    integral and q(M) = u*M + v*I (see _scaled_coefficients and
-    _cayley_hamilton).  The scramble similarity only permutes those signs
-    and scales them by positive factors, and every trial has its own
-    stream, so its draws are taken, from the same stream positions, only
-    once a trial hits.
+    integral, q(x) = L * 128^m * p(x / 128) has integer coefficients (see
+    cleared_vector), and q(M) = L * 128^m * p(A) = u*M + v*I (see
+    _cayley_hamilton) has the entry signs of p(A).  The scramble similarity
+    only permutes those signs and scales them by positive factors, and every
+    trial has its own stream, so its draws are taken, from the same stream
+    positions, only once a trial hits.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     span = int(cauchy_bound(p)) + 1 if not p.is_zero else 1
     limit = span * _DYADIC
-    coeffs = _scaled_coefficients(p)
+    coeffs, _ = cleared_vector(p, _SCALE)
     for trial in range(trials):
         rng = _TrialRandom(seed, trial)
         family = trial % 3

@@ -167,8 +167,9 @@ class Polynomial:
 
     def parity_parts(self) -> tuple["Polynomial", "Polynomial"]:
         """Split into (even part, odd part); the two sum back to self."""
-        even = Polynomial(c if k % 2 == 0 else 0 for k, c in enumerate(self.coeffs))
-        odd = Polynomial(c if k % 2 == 1 else 0 for k, c in enumerate(self.coeffs))
+        zero = Fraction(0)
+        even = Polynomial(zero if k % 2 else c for k, c in enumerate(self.coeffs))
+        odd = Polynomial(c if k % 2 else zero for k, c in enumerate(self.coeffs))
         return even, odd
 
     def monic(self) -> "Polynomial":
@@ -236,10 +237,31 @@ def _primitive(f: Iterable[int]) -> IntVector:
     return f if g == 1 else [c // g for c in f]
 
 
+def cleared_vector(p: Polynomial, scale: int = 1) -> tuple[IntVector, int]:
+    """(L * scale^m * p(x / scale) as an integer vector, L).
+
+    L is the lcm of the denominators of p and m its degree.  At scale 1 the
+    vector is L*p: it has the sign of p at every point, so unlike
+    integer_vector it keeps its content and a negative leading coefficient.
+    """
+    den = lcm(*[c.denominator for c in p.coeffs])
+    f = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    if scale != 1:
+        top = len(f) - 1
+        f = [c * scale ** (top - k) for k, c in enumerate(f)]
+    return f, den
+
+
 def integer_vector(p: Polynomial) -> IntVector:
     """The primitive integer vector of p (empty for the zero polynomial)."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return _primitive(c.numerator * (den // c.denominator) for c in p.coeffs)
+    return _primitive(cleared_vector(p)[0])
+
+
+def cauchy_bound_vector(f: IntVector) -> Fraction:
+    """1 + max_{k<m} |f_k| / |f_m|; all real roots of the nonzero vector f
+    lie inside (-bound, bound)."""
+    lead = abs(f[-1])
+    return Fraction(lead + max((abs(c) for c in f[:-1]), default=0), lead)
 
 
 def _derivative(f: IntVector) -> IntVector:
@@ -562,9 +584,8 @@ def sturm_count(p: Polynomial, lo: Endpoint, hi: Endpoint) -> int:
 
 
 def cauchy_bound(p: Polynomial) -> Fraction:
-    """1 + max_{k<m} |a_k| / |a_m|; all real roots lie inside (-bound, bound)."""
+    """The Cauchy bound of p (see cauchy_bound_vector): all real roots of p
+    lie inside (-bound, bound)."""
     if p.is_zero:
         raise ValueError("Cauchy bound of the zero polynomial")
-    lead = abs(p.leading)
-    lower = [abs(c) for c in p.coeffs[:-1]]
-    return 1 + (max(lower) / lead if lower else Fraction(0))
+    return cauchy_bound_vector(cleared_vector(p)[0])

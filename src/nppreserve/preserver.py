@@ -77,7 +77,8 @@ def witness_from_spectral(rho: Rational, mu: Rational) -> Matrix2:
     rho, mu = Fraction(rho), Fraction(mu)
     if not rho >= abs(mu):
         raise ValueError("need rho >= |mu|")
-    return Matrix2((rho + mu) / 2, (rho - mu) / 2, (rho - mu) / 2, (rho + mu) / 2)
+    diagonal, off = (rho + mu) / 2, (rho - mu) / 2
+    return Matrix2(diagonal, off, off, diagonal)
 
 
 def witness_from_ratio(rho: Rational, mu: Rational) -> Matrix2:

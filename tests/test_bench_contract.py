@@ -8,6 +8,7 @@ metrics in a benchmark run.  This test finds that in about a second.
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,22 @@ def test_cone_hooks_sum_the_grid_calls(spans):
     assert calls["cone.ratio"] == 3 and calls["cone.grid"] == 1 + 1 + 1
     assert calls["cone.bernstein"] == 2
     assert "cone.bernstein" in tracer.traced
+
+
+def test_spectral_stage_decides_through_the_halfline_span(spans):
+    # the per-layer metrics see the spectral stage's half-line decisions only
+    # through the halfline.decide span, which wraps check_nonneg_halfline: a
+    # spectral member and a spectral non-member each make three of them
+    # inside the preserver.spectral span
+    tracer = spans.Tracer()
+    with tracer.active("probe"):
+        for p in (CERTIFY_MEMBER, parse_polynomial("-x")):
+            check_p2(p)
+    spectral = [i for i, span in enumerate(tracer.spans) if span[0] == "preserver.spectral"]
+    inside = Counter(span[3] for span in tracer.spans if span[0] == "halfline.decide")
+    assert len(spectral) == 2
+    assert [inside[i] for i in spectral] == [3, 3]
+    assert tracer.counts["probe"]["spectral_rejects"] == 1
 
 
 def test_public_names_resolve():

@@ -251,13 +251,25 @@ FALSIFY_CASES = [
 
 class TestAgainstReference:
     def test_horner_matches_matmul_horner(self):
+        # horner_matrix_eval clears the denominators of p and of A and divides
+        # only the four entries at the end; naive_horner stays in Fraction
         rng = random.Random(77)
         polys = [random_polynomial(rng, max_degree=12) for _ in range(40)]
-        polys += [Polynomial((_BIG, -_TINY, 0, 1)), Polynomial((_TINY,) * 13)]
+        polys += [Polynomial((_BIG, -_TINY, 0, 1)), Polynomial((_TINY,) * 13),
+                  Polynomial(()), Polynomial((Fraction(-5, 7),)), Polynomial((_BIG,)),
+                  Polynomial((0, 0, _TINY, 0, 0, -_BIG))]
+        fixed = [
+            Matrix2(Fraction(1, 3), Fraction(-2, 5), 7, Fraction(5, 6)),  # mixed denominators
+            Matrix2(Fraction(1, 2**64), Fraction(3, 10**12), Fraction(-1, 9), 0),
+            Matrix2(10**40, 0, Fraction(1, 10**40), -(10**40)),
+            Matrix2(_BIG, _TINY, -_BIG, Fraction(10**40, 7)),
+            Matrix2.zero(),
+            Matrix2.scalar(Fraction(-3, 4)),
+        ]
         for p in polys:
-            for _ in range(5):
-                a = Matrix2(*(Fraction(rng.randint(-50, 50), rng.randint(1, 30))
-                              for _ in range(4)))
+            drawn = [Matrix2(*(Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(4)))
+                     for _ in range(5)]
+            for a in drawn + fixed:
                 assert horner_matrix_eval(p, a) == naive_horner(p, a), (p, a)
 
     @pytest.mark.parametrize("p", FALSIFY_CASES)

@@ -313,12 +313,17 @@ def _ref_count(p, lo, hi):
     return _RefSturmChain(_ref_radical(p)).count_roots(lo, hi)
 
 
+def _ref_cauchy(p):
+    """1 + max_{k<m} |a_k| / |a_m|, in Fraction."""
+    return 1 + max((abs(c) / abs(p.leading) for c in p.coeffs[:-1]), default=Fraction(0))
+
+
 def _ref_halfline(p):
     """(member, witness, trace) of the half-line decision with Sturm chains."""
     if p.is_zero:
         return True, None, None
     if p.leading < 0:
-        return False, cauchy_bound(p), "leading-sign"
+        return False, _ref_cauchy(p), "leading-sign"
     if p(0) < 0:
         return False, Fraction(0), "value-at-0"
     odd = _ref_odd_part(p)
@@ -327,7 +332,7 @@ def _ref_halfline(p):
     chain = _RefSturmChain(odd)
     if chain.count_roots(0, POS_INF) == 0:
         return True, None, None
-    a, b = Fraction(0), cauchy_bound(p)
+    a, b = Fraction(0), _ref_cauchy(p)
     while True:
         if a > 0 and p(a) < 0:
             return False, a, "odd-root"
@@ -460,6 +465,15 @@ class TestCauchyBound:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             cauchy_bound(Polynomial(()))
+
+    def test_matches_fraction_formula(self):
+        # cauchy_bound reads the bound off the cleared integer vector
+        polys = [p for p, _ in REFERENCE_CASES] + [Polynomial((Fraction(-3, 7),))]
+        for p in polys:
+            for q in (p, -p, p.derivative()):
+                if not q.is_zero:
+                    bound = cauchy_bound(q)
+                    assert type(bound) is Fraction and bound == _ref_cauchy(q), str(q)
 
     @given(nonzero_poly_st.filter(lambda p: p.degree >= 1))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Top-level membership checks, witness templates, and coherence invariants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from nppreserve import (
     MembershipStatus,
     Polynomial,
     PreserverClass,
+    TrailEntry,
     check_circulant2,
     check_p1,
     check_p2,
@@ -21,8 +23,38 @@ from nppreserve import (
     witness_from_spectral,
 )
 from conftest import CERTIFY_MEMBER, QUARTIC, QUINTIC, random_polynomial
+from test_polynomial import REFERENCE_CASES, _ref_count, _ref_halfline
 
 MONOTONE_BREAKER = parse_polynomial("x^4 - 2x^2 + 1/2*x + 1")  # only p' leaves P1
+
+
+def _ref_spectral(p):
+    """(member, witness_point, trail) of the spectral conditions, from the
+    Fraction half-line reference and the witness rules: the even or the odd
+    part failing at x0 gives (x0, -x0); a sole derivative failure at x0 gives
+    (x0 + h, x0) for the first h = 1/2, 1/4, ... with p(x0 + h) < p(x0),
+    where after 64 halvings p' must also have no root in (x0, x0 + h]."""
+    dp = p.derivative()
+    even = Polynomial(c if k % 2 == 0 else 0 for k, c in enumerate(p.coeffs))
+    verdicts = [_ref_halfline(q) for q in (dp, even, p - even)]
+    names = ("p_prime_in_P1", "p_even_in_P1", "p_odd_in_P1")
+    trail = tuple(
+        TrailEntry(name, "member") if member
+        else TrailEntry(name, "not_member", f"{trace} at {witness}")
+        for name, (member, witness, trace) in zip(names, verdicts)
+    )
+    (d_member, x0, _), (e_member, xe, _), (o_member, xo, _) = verdicts
+    if d_member and e_member and o_member:
+        return True, None, trail
+    if not e_member:
+        return False, (xe, -xe), trail
+    if not o_member:
+        return False, (xo, -xo), trail
+    base, h = p(x0), Fraction(1, 2)
+    for k in itertools.count():
+        if p(x0 + h) < base and (k < 64 or _ref_count(dp, x0, x0 + h) == 0):
+            return False, (x0 + h, x0), trail
+        h /= 2
 
 
 class TestCheckP1:
@@ -65,6 +97,7 @@ class TestCheckSpectral:
         assert rho >= abs(mu) and mu >= 0
         p = MONOTONE_BREAKER
         assert p(rho) < abs(p(mu))  # monotonicity violation, exact
+        assert (res.member, res.witness_point, res.trail) == _ref_spectral(p)
 
     def test_monotonicity_fallback_after_64_halvings(self):
         # p' = 4(x - 1)(x - 1 - e)(x + 3) is negative only on (1, 1 + e), so
@@ -83,6 +116,7 @@ class TestCheckSpectral:
         )
         assert all(p(mu + Fraction(1, 2**k)) >= p(mu) for k in range(1, 65))
         assert p(rho) < abs(p(mu))
+        assert (res.member, res.witness_point, res.trail) == _ref_spectral(p)
 
     def test_witness_always_violates(self):
         rng = random.Random(1234)
@@ -96,6 +130,17 @@ class TestCheckSpectral:
                 assert rho >= abs(mu)
                 assert p(rho) < abs(p(mu))
         assert rejected > 50
+
+
+class TestSpectralAgainstReference:
+    """check_spectral decides on cleared integer vectors; the reference
+    decides p', the even part and the odd part with Fraction Sturm chains."""
+
+    @pytest.mark.parametrize("p, points", REFERENCE_CASES)
+    def test_reference_cases(self, p, points):
+        for q in (p, -p, p.reflect()):
+            res = check_spectral(q)
+            assert (res.member, res.witness_point, res.trail) == _ref_spectral(q), str(q)
 
 
 class TestCheckP2:
