@@ -7,7 +7,6 @@ analytic checkers.
 """
 
 from .cone import (
-    BiPoly,
     Comparison,
     ConeWitness,
     RatioStatus,
@@ -15,7 +14,6 @@ from .cone import (
     SeparationCertificate,
     certify_ratio,
     check_ratio,
-    compactify,
     ratio_value,
 )
 from .halfline import (
@@ -39,8 +37,6 @@ from .polynomial import (
     POS_INF,
     Polynomial,
     cauchy_bound,
-    odd_multiplicity_part,
-    radical,
     square_free_decompose,
     sturm_count,
 )
@@ -64,7 +60,6 @@ from .cli import ParseError, UnsupportedCoefficient, parse_polynomial
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly",
     "CertificateNotFound",
     "Comparison",
     "ConeWitness",
@@ -95,15 +90,12 @@ __all__ = [
     "check_ratio",
     "check_spectral",
     "closed_form_image",
-    "compactify",
     "falsify_random",
     "horner_matrix_eval",
-    "odd_multiplicity_part",
     "p3_necessary_screen",
     "parse_polynomial",
     "polya_szego_certificate",
     "posmatrix_generate",
-    "radical",
     "ratio_value",
     "scramble_similarity",
     "square_free_decompose",

@@ -55,17 +55,27 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 # -- polynomial grammar --------------------------------------------------------
 
+#: The largest degree the grammar accepts.  A larger exponent, or a longer
+#: coefficient list, is rejected before any coefficient is allocated.
+MAX_DEGREE = 1000
+#: The largest power of ten a decimal token may carry, the digit limit of
+#: Python's int conversion: 1e99999999999 would allocate all its digits.
+MAX_DIGITS = 4300
+
 
 def _rational_token(text: str, position: int) -> Fraction:
     """Exact conversion of an integer, a/b, or finite-decimal token."""
     try:
         if "/" in text:
             num, _, den = text.partition("/")
-            if Fraction(den) == 0:
+            if int(den) == 0:
                 raise UnsupportedCoefficient("zero denominator", position)
             return Fraction(int(num), int(den))
         if any(ch in text for ch in ".eE"):
-            return Fraction(Decimal(text))
+            value = Decimal(text)
+            if value.is_finite() and abs(value.as_tuple().exponent) > MAX_DIGITS:
+                raise UnsupportedCoefficient(f"decimal exponent beyond {MAX_DIGITS}", position)
+            return Fraction(value)
         return Fraction(int(text))
     except UnsupportedCoefficient:
         raise
@@ -76,6 +86,8 @@ def _rational_token(text: str, position: int) -> Fraction:
 def _from_coefficient_list(items: Iterable) -> Polynomial:
     coeffs = []
     for index, item in enumerate(items):
+        if index > MAX_DEGREE:
+            raise ParseError(f"more than {MAX_DEGREE + 1} coefficients", index)
         if isinstance(item, (Fraction, int)):
             coeffs.append(Fraction(item))
         else:
@@ -91,7 +103,8 @@ def parse_polynomial(src: PolySource) -> Polynomial:
 
     Terms are c, c*x^k or x^k with rational c given as a/b, an integer, or
     a finite decimal (converted exactly).  Like terms combine; negative
-    exponents and non-rational symbols are rejected.
+    exponents, exponents above MAX_DEGREE, numbers of more than MAX_DIGITS
+    digits and non-rational symbols are rejected.
     """
     if not isinstance(src, str):
         return _from_coefficient_list(src)
@@ -156,9 +169,12 @@ def parse_polynomial(src: PolySource) -> Polynomial:
                     ch in number for ch in ".eE"
                 ):
                     raise ParseError("a/b form needs integers", den_start)
-                if int(den) == 0:
+                # integer tokens: a failure is an integer of too many digits
+                numerator = _rational_token(number, num_start)
+                denominator = _rational_token(den, den_start)
+                if denominator == 0:
                     raise UnsupportedCoefficient("zero denominator", den_start)
-                coeff = Fraction(int(number), int(den))
+                coeff = numerator / denominator
             else:
                 coeff = _rational_token(number, num_start)
         skip_ws()
@@ -182,7 +198,10 @@ def parse_polynomial(src: PolySource) -> Polynomial:
                     pos += 1
                 if exp_start == pos:
                     raise ParseError("missing exponent after '^'", pos)
-                power = int(text[exp_start:pos])
+                digits = text[exp_start:pos].lstrip("0") or "0"
+                if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                    raise ParseError(f"exponent above the degree limit {MAX_DEGREE}", exp_start)
+                power = int(digits)
         if explicit_star and not has_x:
             raise ParseError("expected 'x' after '*'", pos)
         if pos < n and text[pos].isalpha():
@@ -253,12 +272,14 @@ def _matrix_strings(m: Matrix2) -> list[list[str]]:
     return [[str(c) for c in row] for row in m.rows()]
 
 
-def _image_negative_entry(p: Polynomial, m: Matrix2) -> Optional[dict]:
+def _add_witness_matrix(report: dict, p: Polynomial, m: Matrix2) -> None:
+    """The witness matrix and the first negative entry of its image under p."""
+    report["witness_matrix"] = _matrix_strings(m)
     image = horner_matrix_eval(p, m)
     for (i, j), value in zip(((1, 1), (1, 2), (2, 1), (2, 2)), image.entries):
         if value < 0:
-            return {"i": i, "j": j, "value": str(value)}
-    return None
+            report["image_negative_entry"] = {"i": i, "j": j, "value": str(value)}
+            return
 
 
 def _membership_report(p: Polynomial, verdict: MembershipVerdict) -> dict:
@@ -275,10 +296,7 @@ def _membership_report(p: Polynomial, verdict: MembershipVerdict) -> dict:
     if verdict.witness_point is not None:
         report["witness_point"] = [str(x) for x in verdict.witness_point]
     if verdict.witness_matrix is not None:
-        report["witness_matrix"] = _matrix_strings(verdict.witness_matrix)
-        entry = _image_negative_entry(p, verdict.witness_matrix)
-        if entry is not None:
-            report["image_negative_entry"] = entry
+        _add_witness_matrix(report, p, verdict.witness_matrix)
     if verdict.budget_spent:
         report["budget_spent"] = dict(verdict.budget_spent)
     return report
@@ -318,10 +336,7 @@ def _run_command(command: str, p: Polynomial, config: RunConfig) -> dict:
             "budget_spent": {"trials": trials_run, "seed": config.seed},
         }
         if found is not None:
-            report["witness_matrix"] = _matrix_strings(found)
-            entry = _image_negative_entry(p, found)
-            if entry is not None:
-                report["image_negative_entry"] = entry
+            _add_witness_matrix(report, p, found)
         return report
     if command == "certificate":
         report = {

@@ -67,7 +67,9 @@ unit square:
             = (1 - r)^m * (rho*p(-mu) + mu*p(rho)) / rho,
 
 so the inequality holds on the open cone iff P >= 0 on [0, 1]^2 (by
-continuity).
+continuity).  _scan_grid evaluates the sign of P at its grid points in
+integers, without building P; P as a bivariate polynomial (compactify) is
+built only by the test reference tests/bernstein_reference.py.
 """
 
 from __future__ import annotations
@@ -75,13 +77,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb, lcm
 from typing import Optional, Union
 
 from .halfline import check_nonneg_halfline
 from .polynomial import (
     IntVector,
     Polynomial,
+    _primitive,
+    cleared_vector,
     count_roots,
     gcd_vector,
     integer_vector,
@@ -109,67 +112,6 @@ class ConeWitness:
     rho: Fraction
     mu: Fraction
     value: Fraction
-
-
-class BiPoly:
-    """Dense bivariate polynomial over the rationals; entry (i, j) is t^i r^j."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, grid):
-        rows = [[Fraction(c) for c in row] for row in grid]
-        width = max((len(r) for r in rows), default=0)
-        for r in rows:
-            r.extend([Fraction(0)] * (width - len(r)))
-        while rows and all(c == 0 for c in rows[-1]):
-            rows.pop()
-        while rows and all(row[-1] == 0 for row in rows):
-            for row in rows:
-                row.pop()
-        self.coeffs: tuple[tuple[Fraction, ...], ...] = tuple(tuple(r) for r in rows)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def eval(self, t: Rational, r: Rational) -> Fraction:
-        t = Fraction(t)
-        r = Fraction(r)
-        acc = Fraction(0)
-        for row in reversed(self.coeffs):
-            inner = Fraction(0)
-            for c in reversed(row):
-                inner = inner * r + c
-            acc = acc * t + inner
-        return acc
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"BiPoly({[[str(c) for c in row] for row in self.coeffs]})"
-
-
-def compactify(p: Polynomial) -> BiPoly:
-    """Map p to P(t, r) on the unit square (see module docstring).
-
-    The k = 1 basis term (-t) + t vanishes, so the coefficient of x never
-    influences P; constants use the m = 0 convention P = c * (1 + t).
-    """
-    m = max(p.degree, 0)
-    grid = [[Fraction(0)] * (m + 1) for _ in range(max(m, 1) + 1)]
-    for k, ak in enumerate(p.coeffs):
-        if ak == 0 or k == 1:
-            continue
-        sign = 1 if k % 2 == 0 else -1
-        for j in range(m - k + 1):
-            c = ak * comb(m - k, j) * (-1) ** j  # r^k (1-r)^(m-k) expansion
-            grid[1][k + j] += c
-            grid[k][k + j] += sign * c
-    return BiPoly(grid)
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -216,8 +158,7 @@ def _scan_grid(p: Polynomial) -> tuple[Optional[ConeWitness], dict]:
     """
     counters = {"grid_levels": 0, "grid_exact_checks": 0}
     m = max(p.degree, 1)
-    den = lcm(*(c.denominator for c in p.coeffs))
-    f = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    f, _ = cleared_vector(p)
     f += [0] * (m + 1 - len(f))
     for level in range(1, _GRID_DEPTH + 1):
         counters["grid_levels"] += 1
@@ -394,8 +335,7 @@ class _Separation:
         self.p, self.critical = p, critical
         dp = p.derivative()
         self.dp = dp
-        self.den = lcm(*(c.denominator for c in dp.coeffs))
-        self.dpi = [c.numerator * (self.den // c.denominator) for c in dp.coeffs]
+        self.dpi, self.den = cleared_vector(dp)
         # |p''| <= ddp_abs(|z|) on an interval, scaled by den
         self.ddp_abs = [abs(k * c) for k, c in enumerate(self.dpi)][1:]
         self.roots = [_Root(critical, i, lo, hi)
@@ -582,7 +522,7 @@ def certify_ratio(p: Polynomial) -> RatioVerdict:
     if p.degree < 2:  # a0*(rho + mu) with a0 >= 0
         return RatioVerdict(RatioStatus.HOLDS, certificate=SeparationCertificate((1,), (), ()),
                             budget_spent=counters)
-    m_vector = integer_vector(Polynomial((k - 1) * c for k, c in enumerate(p.coeffs)))
+    m_vector = _primitive((k - 1) * c for k, c in enumerate(cleared_vector(p)[0]))
     while m_vector[0] == 0:
         m_vector.pop(0)  # the factor z: phi has no critical point at 0
     search = _Separation(p, radical_vector(m_vector))

@@ -387,22 +387,37 @@ def _taylor_shift(f: IntVector, c: int = 1) -> IntVector:
     return a
 
 
-def count_unit_roots(f: IntVector) -> int:
-    """Distinct roots in the open interval (0, 1) of a nonzero square-free vector.
+def _unit_leaves(f: IntVector, c: int, k: int, out: list) -> None:
+    """Vincent-Collins-Akritas bisection: the roots in (0, 1) of a nonzero
+    square-free f, which stands for the vector it came from on the dyadic
+    interval (c/2^k, (c + 1)/2^k), appended to out in increasing order.
 
-    Vincent-Collins-Akritas bisection: the sign variations of
-    (1 + x)^n f(1/(1 + x)) bound the roots in (0, 1); at 0 or 1 the count
-    is exact, otherwise both halves are mapped back onto (0, 1) and a root
-    at 1/2 is counted on its own.  A root at 0 or 1 is never counted, and
-    the recursion ends because f is square-free (Vincent's theorem).
+    The sign variations of (1 + x)^n f(1/(1 + x)) bound the roots in (0, 1).
+    At 1 the leaf (c, k, False) records the one root; above 1 both halves
+    are mapped back onto (0, 1), and a root at the midpoint is the leaf
+    (2c + 1, k + 1, True): (c, k, True) is the exact root c/2^k.  Roots at
+    0 or 1 are never recorded; Vincent's theorem ends the recursion.
     """
     v = sign_variations(_taylor_shift(f[::-1]))
     if v <= 1:
-        return v
+        if v:
+            out.append((c, k, False))
+        return
     n = len(f) - 1
-    left = [c << (n - k) for k, c in enumerate(f)]  # 2^n f(x/2)
+    left = [a << (n - j) for j, a in enumerate(f)]  # 2^n f(x/2)
     right = _taylor_shift(left)  # 2^n f((x + 1)/2)
-    return count_unit_roots(left) + (right[0] == 0) + count_unit_roots(right)
+    _unit_leaves(left, 2 * c, k + 1, out)
+    if right[0] == 0:
+        out.append((2 * c + 1, k + 1, True))
+    _unit_leaves(right, 2 * c + 1, k + 1, out)
+
+
+def count_unit_roots(f: IntVector) -> int:
+    """Distinct roots in the open interval (0, 1) of a nonzero square-free
+    vector: the leaves of _unit_leaves."""
+    leaves: list = []
+    _unit_leaves(f, 0, 0, leaves)
+    return len(leaves)
 
 
 def _root_bound_exponent(f: IntVector) -> int:
@@ -475,47 +490,25 @@ def sign_at(f: IntVector, x: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
-def _unit_leaves(f: IntVector, lo: Fraction, width: Fraction, out: list) -> None:
-    """The recursion of count_unit_roots, recording where the roots are.
-
-    f on (0, 1) stands for the original vector on (lo, lo + width).  A leaf
-    (lo, hi, False) holds exactly one root in the open interval; (x, x, True)
-    is a root met exactly at a bisection point.  Leaves come in increasing
-    order.
-    """
-    v = sign_variations(_taylor_shift(f[::-1]))
-    if v == 0:
-        return
-    if v == 1:
-        out.append((lo, lo + width, False))
-        return
-    n = len(f) - 1
-    left = [c << (n - k) for k, c in enumerate(f)]
-    right = _taylor_shift(left)
-    half = width / 2
-    _unit_leaves(left, lo, half, out)
-    if right[0] == 0:
-        out.append((lo + half, lo + half, True))
-    _unit_leaves(right, lo + half, half, out)
-
-
 def isolate_roots(f: IntVector) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals of the real roots of a nonzero square-free vector.
 
     Returns (lo, hi) pairs in increasing order; each half-open interval
     (lo, hi] holds exactly one root, and either that root is hi or f(hi) is
     not zero, so bisection by the sign of f at midpoints refines it.  The
-    intervals come from the Vincent-Collins-Akritas recursion of
-    count_unit_roots run on (-2^k, 2^k), which holds every root.
+    intervals are the leaves of _unit_leaves run on (-2^k, 2^k), which
+    holds every root.
     """
     if len(f) < 2:
         return []
     k = max(_root_bound_exponent(f), _root_bound_exponent(reflect_vector(f)))
-    lo, width = Fraction(-(1 << k)), Fraction(1 << (k + 1))
+    start, width = -(1 << k), 1 << (k + 1)
     leaves: list = []
-    _unit_leaves(_affine(f, lo, width), lo, width, leaves)
+    _unit_leaves(_affine(f, Fraction(start), Fraction(width)), 0, 0, leaves)
     out = []
-    for lo, hi, exact in leaves:
+    for c, j, exact in leaves:
+        lo = start + Fraction(width * c, 1 << j)
+        hi = lo if exact else start + Fraction(width * (c + 1), 1 << j)
         if exact:
             # no root lies between the previous interval's end and this one
             lo = out[-1][1] if out else hi - 1
@@ -551,23 +544,6 @@ def square_free_decompose(p: Polynomial) -> list[tuple[Polynomial, int]]:
     if p.is_zero:
         raise ValueError("square-free decomposition of the zero polynomial")
     return [(_monic(q), mult) for q, mult in _yun(integer_vector(p))]
-
-
-def radical(p: Polynomial) -> Polynomial:
-    """Product of the distinct irreducible factors (square-free part), monic."""
-    if p.is_zero:
-        raise ValueError("radical of the zero polynomial")
-    return _monic(radical_vector(integer_vector(p)))
-
-
-def odd_multiplicity_part(p: Polynomial) -> Polynomial:
-    """Monic product of the square-free factors of odd multiplicity.
-
-    Its roots are exactly the points where p changes sign.
-    """
-    if p.is_zero:
-        raise ValueError("square-free decomposition of the zero polynomial")
-    return _monic(odd_part_vector(integer_vector(p)))
 
 
 def sturm_count(p: Polynomial, lo: Endpoint, hi: Endpoint) -> int:

@@ -165,6 +165,15 @@ def check_spectral(p: Polynomial) -> SpectralResult:
 # -- public membership checks --------------------------------------------------
 
 
+def _spectral_rejection(class_checked: PreserverClass, spectral: SpectralResult
+                        ) -> MembershipVerdict:
+    """NOT_MEMBER with the circulant witness of a failed spectral check."""
+    rho, mu = spectral.witness_point
+    return MembershipVerdict(class_checked, MembershipStatus.NOT_MEMBER,
+                             witness_matrix=witness_from_spectral(rho, mu),
+                             witness_point=(rho, mu), certificate_trail=spectral.trail)
+
+
 def check_p1(p: Polynomial) -> MembershipVerdict:
     """Nonnegativity on [0, inf); rejections carry the 1x1 witness (x0, x0)."""
     v = check_nonneg_halfline(p)
@@ -190,14 +199,7 @@ def check_p2(p: Polynomial) -> MembershipVerdict:
     """
     spectral = check_spectral(p)
     if not spectral.member:
-        rho, mu = spectral.witness_point
-        return MembershipVerdict(
-            PreserverClass.P2,
-            MembershipStatus.NOT_MEMBER,
-            witness_matrix=witness_from_spectral(rho, mu),
-            witness_point=(rho, mu),
-            certificate_trail=spectral.trail,
-        )
+        return _spectral_rejection(PreserverClass.P2, spectral)
     rv = check_ratio(p)
     detail = rv.certificate if isinstance(rv.certificate, str) else None
     if isinstance(rv.certificate, SeparationCertificate):
@@ -224,18 +226,11 @@ def check_p2(p: Polynomial) -> MembershipVerdict:
 def check_circulant2(p: Polynomial) -> MembershipVerdict:
     """Preservation of all nonnegative 2x2 circulants: the spectral predicate."""
     spectral = check_spectral(p)
-    if spectral.member:
-        return MembershipVerdict(
-            PreserverClass.CIRCULANT2,
-            MembershipStatus.MEMBER,
-            certificate_trail=spectral.trail,
-        )
-    rho, mu = spectral.witness_point
+    if not spectral.member:
+        return _spectral_rejection(PreserverClass.CIRCULANT2, spectral)
     return MembershipVerdict(
         PreserverClass.CIRCULANT2,
-        MembershipStatus.NOT_MEMBER,
-        witness_matrix=witness_from_spectral(rho, mu),
-        witness_point=(rho, mu),
+        MembershipStatus.MEMBER,
         certificate_trail=spectral.trail,
     )
 

@@ -1,9 +1,10 @@
 """Test-only reference: the tensor Bernstein box certifier of the cone.
 
 It proves P >= 0 on the unit square, where P(t, r) is the compactified cone
-form of ``nppreserve.cone.compactify``: the four edges by exact univariate
-checks, the interior by breadth-first box subdivision, a box being
-discharged when all its tensor Bernstein coefficients are >= 0.  It never
+form of ``nppreserve.cone``, built as a bivariate polynomial by
+``compactify`` below: the four edges by exact univariate checks, the
+interior by breadth-first box subdivision, a box being discharged when all
+its tensor Bernstein coefficients are >= 0.  It never
 refutes, and it gives up when an edge is negative or its box budget runs
 out.  The tests compare the exact cone decision against it wherever it is
 decisive.
@@ -14,13 +15,74 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from nppreserve import BiPoly, Polynomial, RatioStatus, RatioVerdict, compactify
+from nppreserve import Polynomial, RatioStatus, RatioVerdict
 from nppreserve.polynomial import count_unit_roots, integer_vector, odd_part_vector
 
 # the status of a search that gave up: an edge is negative or the budget ran out
 GAVE_UP = "gave-up"
 
 DEFAULT_MAX_BOXES = 16384
+
+
+class BiPoly:
+    """Dense bivariate polynomial over the rationals; entry (i, j) is t^i r^j."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, grid):
+        rows = [[Fraction(c) for c in row] for row in grid]
+        width = max((len(r) for r in rows), default=0)
+        for r in rows:
+            r.extend([Fraction(0)] * (width - len(r)))
+        while rows and all(c == 0 for c in rows[-1]):
+            rows.pop()
+        while rows and all(row[-1] == 0 for row in rows):
+            for row in rows:
+                row.pop()
+        self.coeffs: tuple[tuple[Fraction, ...], ...] = tuple(tuple(r) for r in rows)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def eval(self, t, r) -> Fraction:
+        t = Fraction(t)
+        r = Fraction(r)
+        acc = Fraction(0)
+        for row in reversed(self.coeffs):
+            inner = Fraction(0)
+            for c in reversed(row):
+                inner = inner * r + c
+            acc = acc * t + inner
+        return acc
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BiPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"BiPoly({[[str(c) for c in row] for row in self.coeffs]})"
+
+
+def compactify(p: Polynomial) -> BiPoly:
+    """Map p to P(t, r) on the unit square (see the docstring of nppreserve.cone).
+
+    The k = 1 basis term (-t) + t vanishes, so the coefficient of x never
+    influences P; constants use the m = 0 convention P = c * (1 + t).
+    """
+    m = max(p.degree, 0)
+    grid = [[Fraction(0)] * (m + 1) for _ in range(max(m, 1) + 1)]
+    for k, ak in enumerate(p.coeffs):
+        if ak == 0 or k == 1:
+            continue
+        sign = 1 if k % 2 == 0 else -1
+        for j in range(m - k + 1):
+            c = ak * comb(m - k, j) * (-1) ** j  # r^k (1-r)^(m-k) expansion
+            grid[1][k + j] += c
+            grid[k][k + j] += sign * c
+    return BiPoly(grid)
 
 
 @dataclass(frozen=True)

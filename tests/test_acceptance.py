@@ -24,7 +24,6 @@ from nppreserve import (
     check_ratio,
     check_spectral,
     closed_form_image,
-    compactify,
     falsify_random,
     horner_matrix_eval,
     p3_necessary_screen,
@@ -34,7 +33,7 @@ from nppreserve import (
     ratio_value,
 )
 from nppreserve.cli import run
-from bernstein_reference import bernstein_tensor, certify_boxes
+from bernstein_reference import bernstein_tensor, certify_boxes, compactify
 from conftest import (
     CERTIFY_MEMBER,
     QUARTIC,

@@ -60,6 +60,34 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse_polynomial(bad)
 
+    def test_long_integers_rejected_at_their_position(self):
+        digits = "1" * 5000  # beyond Python's int conversion
+        with pytest.raises(UnsupportedCoefficient) as err:
+            parse_polynomial(f"x + {digits}/3")
+        assert err.value.position == 4
+        with pytest.raises(UnsupportedCoefficient) as err:
+            parse_polynomial(f"x + 3/{digits}")
+        assert err.value.position == 6
+
+    def test_degree_limit(self):
+        assert parse_polynomial("x^1000").degree == 1000
+        assert parse_polynomial("x^0001000 - 1").degree == 1000
+        for exponent in ("1001", "9" * 5000):
+            with pytest.raises(ParseError) as err:
+                parse_polynomial(f"1 + x^{exponent}")
+            assert err.value.position == 6
+        assert parse_polynomial(["1"] * 1001).degree == 1000
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(["1"] * 1002)
+        assert err.value.position == 1001
+
+    def test_decimal_exponent_limit(self):
+        assert parse_polynomial("1e4300") == Polynomial((10**4300,))
+        for text in ("1e4301", "2.5e-4301", "1e100000"):
+            with pytest.raises(UnsupportedCoefficient) as err:
+                parse_polynomial(f"x + {text}")
+            assert err.value.position == 4
+
     def test_coefficient_list(self):
         assert parse_polynomial(["0", "2", "0", "-2", "0", "1"]) == QUINTIC
         assert parse_polynomial(["1/2", "0.25"]) == Polynomial(
@@ -245,6 +273,21 @@ class TestBatchAndConfig:
         blocks = capsys.readouterr().out.split("\n\n")
         assert blocks[0].startswith("class: P2\nstatus: member")
         assert blocks[1].startswith("line: 2\nstatus: parse_error\nerror: ")
+
+    def test_oversized_input_is_a_parse_error(self, tmp_path, capsys):
+        digits = "1" * 5000
+        assert run(["check-p2", f"{digits}/3x"]) == 64
+        assert run(["check-p2", f"x^{digits}"]) == 64
+        assert run(["check-p2", "--coeffs", ",".join(["1"] * 1002)]) == 64
+        err = capsys.readouterr().err
+        assert err.count("parse error") == 3 and "Traceback" not in err
+        batch = tmp_path / "polys.txt"
+        batch.write_text(f"x\n3/{digits}x^2\nx^1001\n-x\n")
+        code = run(["check-p2", "--batch", str(batch), "--format", "json"])
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 64
+        assert [r["status"] for r in lines] == ["member", "parse_error", "parse_error", "not_member"]
+        assert "position 2" in lines[1]["error"] and "position 2" in lines[2]["error"]
 
     def test_env_overrides(self, capsys, monkeypatch):
         monkeypatch.setenv("NP_PRESERVE_SEED", "42")

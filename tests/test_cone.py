@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nppreserve import (
-    BiPoly,
     ConeWitness,
     Polynomial,
     RatioStatus,
@@ -27,7 +26,6 @@ from nppreserve import (
     check_ratio,
     check_nonneg_halfline,
     check_spectral,
-    compactify,
     parse_polynomial,
     ratio_value,
 )
@@ -36,9 +34,11 @@ from nppreserve import cone
 from bernstein_reference import (
     DEFAULT_MAX_BOXES,
     GAVE_UP,
+    BiPoly,
     Box,
     bernstein_tensor,
     certify_boxes,
+    compactify,
     nonneg_on_unit_interval,
 )
 from conftest import CERTIFY_MEMBER, QUARTIC, QUINTIC, random_polynomial, replay_separation

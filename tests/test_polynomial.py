@@ -13,12 +13,19 @@ from nppreserve import (
     Polynomial,
     cauchy_bound,
     check_nonneg_halfline,
-    odd_multiplicity_part,
-    radical,
     square_free_decompose,
     sturm_count,
 )
-from nppreserve.polynomial import count_roots, integer_vector, isolate_roots, radical_vector
+from nppreserve.polynomial import (
+    _monic,
+    _unit_leaves,
+    count_roots,
+    count_unit_roots,
+    integer_vector,
+    isolate_roots,
+    odd_part_vector,
+    radical_vector,
+)
 from conftest import QUARTIC, QUARTIC_DERIV, QUINTIC, QUINTIC_DERIV, random_polynomial
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -433,8 +440,9 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize("p, points", REFERENCE_CASES)
     def test_factorizations(self, p, points):
         assert square_free_decompose(p) == _ref_square_free(p)
-        assert odd_multiplicity_part(p) == _ref_odd_part(p)
-        assert radical(p) == _ref_radical(p)
+        f = integer_vector(p)
+        assert _monic(odd_part_vector(f)) == _ref_odd_part(p)
+        assert _monic(radical_vector(f)) == _ref_radical(p)
 
     @pytest.mark.parametrize("p, points", REFERENCE_CASES)
     def test_halfline_decisions(self, p, points):
@@ -454,6 +462,44 @@ class TestKernelAgainstReference:
         assert (v.member, v.witness, v.trace) == _ref_halfline(p)
         if p.degree >= 1:
             _assert_isolates(p)
+
+
+def _leaves(roots):
+    leaves = []
+    _unit_leaves(integer_vector(_product_of_roots(roots)), 0, 0, leaves)
+    return leaves
+
+
+class TestUnitLeaves:
+    """The one Vincent-Collins-Akritas recursion: a leaf (c, k, False) holds
+    one root in (c/2^k, (c + 1)/2^k), a leaf (c, k, True) is the root c/2^k."""
+
+    def test_positions(self):
+        # 1/2 is met exactly as the first midpoint, between the two halves
+        quarters = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+        assert _leaves(quarters) == [(0, 1, False), (1, 1, True), (1, 1, False)]
+        mixed = [Fraction(1, 3), Fraction(1, 2), Fraction(5, 8), Fraction(9, 10)]
+        assert _leaves(mixed) == [(0, 1, False), (1, 1, True), (2, 2, False), (3, 2, False)]
+        assert count_unit_roots(integer_vector(_product_of_roots(mixed))) == 4
+
+    def test_endpoints_never_recorded(self):
+        ends = [Fraction(0), Fraction(1), Fraction(1, 3)]
+        assert _leaves(ends) == [(0, 0, False)]
+        assert count_unit_roots(integer_vector(_product_of_roots(ends))) == 1
+
+    @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=16),
+                    min_size=1, max_size=6, unique=True))
+    @settings(max_examples=80, deadline=None)
+    def test_leaves_hold_the_roots(self, roots):
+        leaves = _leaves(roots)
+        inside = sorted(r for r in roots if 0 < r < 1)
+        assert count_unit_roots(integer_vector(_product_of_roots(roots))) == len(leaves)
+        assert len(leaves) == len(inside)
+        for (c, k, exact), r in zip(leaves, inside):
+            if exact:
+                assert r == Fraction(c, 1 << k)
+            else:
+                assert Fraction(c, 1 << k) < r < Fraction(c + 1, 1 << k)
 
 
 class TestCauchyBound:
