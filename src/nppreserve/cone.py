@@ -84,7 +84,6 @@ from .polynomial import (
     IntVector,
     Polynomial,
     _primitive,
-    cleared_vector,
     count_roots,
     gcd_vector,
     integer_vector,
@@ -151,15 +150,14 @@ def _scan_grid(p: Polynomial) -> tuple[Optional[ConeWitness], dict]:
     one.  A zero never counts as negative.
 
     The point maps back to rho = j/q, mu = i*j/(n*q) with q = n - j, and
-    with H(x, d) = d^m f(x/d) for f the integer multiple of p (a constant
-    counts as degree m = 1) the cone value there has the sign of
+    with H(x, d) = d^m f(x/d) for f the vector of p (a constant counts as
+    degree m = 1) the cone value there has the sign of
     H(-i*j, n*q) + i*n^(m-1)*H(j, q).  The counters are the levels visited
     and the points evaluated.
     """
     counters = {"grid_levels": 0, "grid_exact_checks": 0}
     m = max(p.degree, 1)
-    f, _ = cleared_vector(p)
-    f += [0] * (m + 1 - len(f))
+    f = list(p.vector) + [0] * (m + 1 - len(p.vector))
     for level in range(1, _GRID_DEPTH + 1):
         counters["grid_levels"] += 1
         n = 1 << level
@@ -333,11 +331,10 @@ class _Separation:
 
     def __init__(self, p: Polynomial, critical: IntVector):
         self.p, self.critical = p, critical
-        dp = p.derivative()
-        self.dp = dp
-        self.dpi, self.den = cleared_vector(dp)
-        # |p''| <= ddp_abs(|z|) on an interval, scaled by den
-        self.ddp_abs = [abs(k * c) for k, c in enumerate(self.dpi)][1:]
+        self.dp = p.derivative()
+        ddp = self.dp.derivative()
+        # |p''(z)| <= ddp_abs(reach) for |z| <= reach
+        self.ddp_abs = Polynomial.from_vector([abs(c) for c in ddp.vector], ddp.den)
         self.roots = [_Root(critical, i, lo, hi)
                       for i, (lo, hi) in enumerate(isolate_roots(critical))]
         for root in self.roots:
@@ -350,20 +347,17 @@ class _Separation:
         self._values: Optional[IntVector] = None
         self._edge: Optional[IntVector] = None
 
-    def _value(self, f: IntVector, x: Fraction) -> Fraction:
-        return Fraction(scaled_value(f, x.numerator, x.denominator), x.denominator ** (len(f) - 1) * self.den)
-
     def enclose(self, z: _Root) -> tuple[Fraction, Fraction]:
         """Bounds on p' over the closed interval of z, so on phi(z): the
         value at the midpoint plus or minus half the width times a bound on
         |p''|."""
         if z.exact:
-            v = self._value(self.dpi, z.hi)
+            v = self.dp(z.hi)
             return v, v
         mid = (z.lo + z.hi) / 2
-        v = self._value(self.dpi, mid)
+        v = self.dp(mid)
         reach = max(-z.lo, z.hi)
-        radius = (z.hi - z.lo) / 2 * self._value(self.ddp_abs, reach)
+        radius = (z.hi - z.lo) / 2 * self.ddp_abs(reach)
         return v - radius, v + radius
 
     def bisect(self, *zs: _Root) -> None:
@@ -446,7 +440,8 @@ class _Separation:
                 return None
             if not tie_tested:
                 if self._edge is None:
-                    edge = integer_vector(self.p - Polynomial((0, a1)))
+                    edge = list(self.p.vector)
+                    edge[1] = 0  # p - a1*z
                     self._edge = gcd_vector(self.critical, edge)
                 g = self._edge
                 if len(g) > 1 and count_roots(g, z2.lo, z2.hi) == 1:
@@ -522,7 +517,7 @@ def certify_ratio(p: Polynomial) -> RatioVerdict:
     if p.degree < 2:  # a0*(rho + mu) with a0 >= 0
         return RatioVerdict(RatioStatus.HOLDS, certificate=SeparationCertificate((1,), (), ()),
                             budget_spent=counters)
-    m_vector = _primitive((k - 1) * c for k, c in enumerate(cleared_vector(p)[0]))
+    m_vector = _primitive((k - 1) * c for k, c in enumerate(p.vector))
     while m_vector[0] == 0:
         m_vector.pop(0)  # the factor z: phi has no critical point at 0
     search = _Separation(p, radical_vector(m_vector))
@@ -577,7 +572,7 @@ def check_ratio(p: Polynomial) -> RatioVerdict:
     if p.degree <= 1 and p.coefficient(0) == 0:
         return RatioVerdict(RatioStatus.HOLDS, certificate="zero-ratio-form",
                             budget_spent=counters)
-    if all(c >= 0 for k, c in enumerate(p.coeffs) if k != 1):
+    if all(c >= 0 for k, c in enumerate(p.vector) if k != 1):
         return RatioVerdict(RatioStatus.HOLDS, certificate="nonnegative-coefficients",
                             budget_spent=counters)
     even, odd = p.parity_parts()

@@ -1,8 +1,8 @@
 """Decide nonnegativity of a rational polynomial on the half line [0, inf).
 
-The decision is exact and runs on one integer vector: the polynomial times
-the lcm of its denominators, which has the polynomial's sign at every
-point.  The leading sign, the value at 0, Descartes' rule of signs and the
+The decision is exact and runs on the integer vector the polynomial
+stores, the polynomial times its denominator, which has the polynomial's
+sign at every point.  The leading sign, the value at 0, Descartes' rule of signs and the
 integer root kernel's count of the odd-multiplicity roots on (0, inf) are
 read from it.  Rejections come with a rational witness point where the
 polynomial is exactly negative, and that point is found on the same
@@ -28,7 +28,6 @@ from .polynomial import (
     Polynomial,
     _primitive,
     cauchy_bound_vector,
-    cleared_vector,
     count_roots,
     odd_part_vector,
     sign_at,
@@ -79,8 +78,8 @@ def _point_below_largest_root(f: IntVector, odd_part: IntVector) -> Fraction:
 def check_nonneg_halfline(p: Polynomial) -> HalflineVerdict:
     """Exact test of p(x) >= 0 for all x >= 0, with witness extraction.
 
-    The whole decision, witnesses included, runs on f = L*p, where L is the
-    lcm of p's denominators; f has the sign of p at every point.  A sign
+    The whole decision, witnesses included, runs on f = p.vector, which is
+    p times its denominator p.den > 0 and so has p's sign at every point.  A sign
     change on (0, inf) happens exactly at an odd-multiplicity root, so after
     the leading-sign and value-at-0 gates the decision reduces to counting
     the positive roots of the odd-multiplicity square-free factors.
@@ -88,7 +87,7 @@ def check_nonneg_halfline(p: Polynomial) -> HalflineVerdict:
     decides most members before any factoring.  A root at 0 never rejects
     by itself.
     """
-    f, _ = cleared_vector(p)
+    f = p.vector
     if not f:
         return HalflineVerdict(member=True)
     if f[-1] < 0:

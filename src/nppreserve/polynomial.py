@@ -1,11 +1,13 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-:class:`Polynomial` keeps `fractions.Fraction` coefficients, so every ring
-operation and evaluation is exact.  Square-free decomposition and real-root
-counting run in an integer kernel on primitive coefficient vectors: Yun's
-algorithm with primitive remainder gcds, Descartes' rule of signs, and
-Vincent-Collins-Akritas bisection where Descartes alone does not decide.
-Counts always mean *distinct* roots and are exact.
+:class:`Polynomial` stores one integer vector over one positive
+denominator, in lowest terms, so every ring operation and evaluation is
+exact and runs on the integer functions below.  The vector has the sign of
+the polynomial at every point, and square-free decomposition and real-root
+counting read it directly: Yun's algorithm with primitive remainder gcds,
+Descartes' rule of signs, and Vincent-Collins-Akritas bisection where
+Descartes alone does not decide.  Counts always mean *distinct* roots and
+are exact.
 """
 
 from __future__ import annotations
@@ -30,21 +32,39 @@ def _as_fraction(value: Coefficient) -> Fraction:
 
 
 class Polynomial:
-    """Dense rational-coefficient polynomial, normalized (no trailing zeros).
+    """Dense rational-coefficient polynomial vector / den.
 
-    ``coeffs[k]`` is the coefficient of ``x**k``.  The zero polynomial is
-    stored as an empty tuple and reports ``degree == -1``.
+    ``vector[k]`` is the integer numerator of the coefficient of ``x**k`` and
+    ``den > 0`` their common denominator, in lowest terms: no trailing zeros
+    and gcd(content, den) = 1, so den is the lcm of the coefficient
+    denominators.  The zero polynomial is the empty vector over 1 and
+    reports ``degree == -1``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("vector", "den")
 
     def __init__(self, coeffs: Iterable[Coefficient] = ()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        den = lcm(*[c.denominator for c in cs])
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _store(self, f: IntVector, den: int) -> None:
+        while f and f[-1] == 0:
+            f.pop()
+        g = gcd(*f, den)
+        if den < 0:
+            g = -g
+        self.vector: tuple[int, ...] = tuple(f) if g == 1 else tuple(c // g for c in f)
+        self.den: int = den // g
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_vector(cls, f: Iterable[int], den: int = 1) -> "Polynomial":
+        """The polynomial f / den for an integer vector f and an integer den != 0."""
+        p = cls.__new__(cls)
+        p._store(list(f), den)
+        return p
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -67,32 +87,39 @@ class Polynomial:
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[k]`` is the coefficient of ``x**k``; empty for zero."""
+        return tuple(Fraction(c, self.den) for c in self.vector)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vector
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.vector) - 1
 
     @property
     def leading(self) -> Fraction:
         """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coefficient(len(self.vector) - 1)
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.vector[k], self.den) if 0 <= k < len(self.vector) else Fraction(0)
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        return Polynomial(
-            x + y for x, y in itertools.zip_longest(a, b, fillvalue=Fraction(0))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Polynomial.from_vector(
+            (a * x + b * y for x, y in itertools.zip_longest(self.vector, other.vector, fillvalue=0)),
+            den,
         )
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial.from_vector((-c for c in self.vector), self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -100,38 +127,23 @@ class Polynomial:
     def __mul__(self, other: Union["Polynomial", Coefficient]) -> "Polynomial":
         if not isinstance(other, Polynomial):
             s = _as_fraction(other)
-            return Polynomial(c * s for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+            return Polynomial.from_vector((c * s.numerator for c in self.vector), self.den * s.denominator)
+        return Polynomial.from_vector(_multiply(self.vector, other.vector), self.den * other.den)
 
     def __rmul__(self, other: Coefficient) -> "Polynomial":
         return self * other
 
     def __divmod__(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Euclidean division: self = q*divisor + r with deg r < deg divisor."""
+        """Euclidean division: self = q*divisor + r with deg r < deg divisor.
+
+        With s*f = q*g + r the integer pseudo-division of the vectors,
+        self = f/a and divisor = g/b give self = (q*b/(s*a))*divisor + r/(s*a).
+        """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < divisor.degree:
-            return Polynomial.zero(), self
-        rem = list(self.coeffs)
-        dlead = divisor.leading
-        ddeg = divisor.degree
-        q = [Fraction(0)] * (self.degree - ddeg + 1)
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[ddeg + k] / dlead
-            q[k] = c
-            if c == 0:
-                continue
-            for j, d in enumerate(divisor.coeffs):
-                rem[j + k] -= c * d
-        return Polynomial(q), Polynomial(rem[:ddeg])
+        q, r, s = _pseudo_divide(self.vector, divisor.vector)
+        return (Polynomial.from_vector((c * divisor.den for c in q), s * self.den),
+                Polynomial.from_vector(r, s * self.den))
 
     def __floordiv__(self, divisor: "Polynomial") -> "Polynomial":
         return divmod(self, divisor)[0]
@@ -140,10 +152,11 @@ class Polynomial:
         return divmod(self, divisor)[1]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self.vector == other.vector
+                and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.vector, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -151,32 +164,28 @@ class Polynomial:
     # -- evaluation and structure ----------------------------------------
 
     def __call__(self, x: Coefficient) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact Horner evaluation, in integers (see scaled_value)."""
         x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        value = scaled_value(self.vector, x.numerator, x.denominator)
+        return Fraction(value, x.denominator ** max(self.degree, 0) * self.den)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        return Polynomial.from_vector(_derivative(self.vector), self.den)
 
     def reflect(self) -> "Polynomial":
         """The polynomial x -> p(-x): flips the sign of odd coefficients."""
-        return Polynomial(c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs))
+        return Polynomial.from_vector(reflect_vector(self.vector), self.den)
 
     def parity_parts(self) -> tuple["Polynomial", "Polynomial"]:
         """Split into (even part, odd part); the two sum back to self."""
-        zero = Fraction(0)
-        even = Polynomial(zero if k % 2 else c for k, c in enumerate(self.coeffs))
-        odd = Polynomial(c if k % 2 else zero for k, c in enumerate(self.coeffs))
-        return even, odd
+        even = [0 if k % 2 else c for k, c in enumerate(self.vector)]
+        odd = [c if k % 2 else 0 for k, c in enumerate(self.vector)]
+        return Polynomial.from_vector(even, self.den), Polynomial.from_vector(odd, self.den)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("zero polynomial has no monic associate")
-        lead = self.leading
-        return Polynomial(c / lead for c in self.coeffs)
+        return Polynomial.from_vector(self.vector, self.vector[-1])
 
     # -- formatting -----------------------------------------------------
 
@@ -191,10 +200,10 @@ class Polynomial:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
+            c = self.vector[k]
             if c == 0:
                 continue
-            mag = -c if c < 0 else c
+            mag = Fraction(abs(c), self.den)
             if k == 0:
                 body = str(mag)
             elif k == 1:
@@ -210,14 +219,13 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
 
-
 # -- the integer real-root kernel ---------------------------------------------
 #
 # Square-free decomposition and root counting run on integer vectors:
-# ``f[k]`` is the coefficient of x**k, the common denominator is cleared,
-# the content is divided out and the leading coefficient is positive.  None
-# of these steps moves a root, so a count taken on the vector is the count
-# for the rational polynomial it came from.  Every quotient in the kernel is
+# ``f[k]`` is the coefficient of x**k; a polynomial's stored vector is one,
+# and its primitive vector divides out the content and makes the leading
+# coefficient positive.  Neither moves a root, so a count taken on the
+# vector is the count for the rational polynomial it came from.  Every quotient in the kernel is
 # exact over the integers (Gauss's lemma: a primitive divisor of an integer
 # polynomial leaves an integer quotient), so no step builds a Fraction.
 
@@ -237,24 +245,16 @@ def _primitive(f: Iterable[int]) -> IntVector:
     return f if g == 1 else [c // g for c in f]
 
 
-def cleared_vector(p: Polynomial, scale: int = 1) -> tuple[IntVector, int]:
-    """(L * scale^m * p(x / scale) as an integer vector, L).
-
-    L is the lcm of the denominators of p and m its degree.  At scale 1 the
-    vector is L*p: it has the sign of p at every point, so unlike
-    integer_vector it keeps its content and a negative leading coefficient.
-    """
-    den = lcm(*[c.denominator for c in p.coeffs])
-    f = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    if scale != 1:
-        top = len(f) - 1
-        f = [c * scale ** (top - k) for k, c in enumerate(f)]
-    return f, den
+def cleared_vector(p: Polynomial, scale: int) -> tuple[IntVector, int]:
+    """(L * scale^m * p(x / scale) as an integer vector, L), with L = p.den
+    and m the degree of p: entry k of p.vector times scale^(m - k)."""
+    top = len(p.vector) - 1
+    return [c * scale ** (top - k) for k, c in enumerate(p.vector)], p.den
 
 
 def integer_vector(p: Polynomial) -> IntVector:
     """The primitive integer vector of p (empty for the zero polynomial)."""
-    return _primitive(cleared_vector(p)[0])
+    return _primitive(p.vector)
 
 
 def cauchy_bound_vector(f: IntVector) -> Fraction:
@@ -268,11 +268,13 @@ def _derivative(f: IntVector) -> IntVector:
     return [k * f[k] for k in range(1, len(f))]
 
 
-def _pseudo_remainder(f: IntVector, g: IntVector) -> IntVector:
-    """The remainder of f on division by g, times a nonzero integer."""
+def _pseudo_divide(f: IntVector, g: IntVector) -> tuple[IntVector, IntVector, int]:
+    """(q, r, s) with s*f = q*g + r, deg r < deg g and s a nonzero integer."""
     r = list(f)
     top = len(g) - 1
     lead = g[-1]
+    q = [0] * max(len(r) - top, 0)
+    s = 1
     while len(r) > top:
         c = r[-1]
         if c:
@@ -280,11 +282,14 @@ def _pseudo_remainder(f: IntVector, g: IntVector) -> IntVector:
             scale, c = lead // k, c // k
             if scale != 1:
                 r = [scale * x for x in r]
+                q = [scale * x for x in q]
+                s *= scale
             shift = len(r) - 1 - top
+            q[shift] = c
             for j, gj in enumerate(g):
                 r[shift + j] -= c * gj
         r.pop()
-    return r
+    return q, r, s
 
 
 def gcd_vector(f: IntVector, g: IntVector) -> IntVector:
@@ -293,7 +298,7 @@ def gcd_vector(f: IntVector, g: IntVector) -> IntVector:
         f, g = g, f
     f, g = _primitive(f), _primitive(g)
     while g:
-        f, g = g, _primitive(_pseudo_remainder(f, g))
+        f, g = g, _primitive(_pseudo_divide(f, g)[1])
     return f
 
 
@@ -531,7 +536,7 @@ def isolate_roots(f: IntVector) -> list[tuple[Fraction, Fraction]]:
 
 
 def _monic(f: IntVector) -> Polynomial:
-    return Polynomial(Fraction(c, f[-1]) for c in f)
+    return Polynomial.from_vector(f, f[-1])
 
 
 def square_free_decompose(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -564,4 +569,4 @@ def cauchy_bound(p: Polynomial) -> Fraction:
     lie inside (-bound, bound)."""
     if p.is_zero:
         raise ValueError("Cauchy bound of the zero polynomial")
-    return cauchy_bound_vector(cleared_vector(p)[0])
+    return cauchy_bound_vector(p.vector)
