@@ -61,6 +61,8 @@ MAX_DEGREE = 1000
 #: The largest power of ten a decimal token may carry, the digit limit of
 #: Python's int conversion: 1e99999999999 would allocate all its digits.
 MAX_DIGITS = 4300
+#: Characters of a token that an error message quotes.
+_QUOTE_HEAD = 20
 
 
 def _rational_token(text: str, position: int) -> Fraction:
@@ -80,7 +82,14 @@ def _rational_token(text: str, position: int) -> Fraction:
     except UnsupportedCoefficient:
         raise
     except (ValueError, InvalidOperation, ZeroDivisionError):
-        raise UnsupportedCoefficient(f"cannot read {text!r} as a rational", position)
+        raise UnsupportedCoefficient(f"cannot read {_quote(text)} as a rational", position)
+
+
+def _quote(token: str) -> str:
+    """The token quoted for an error message; a long one only by its head."""
+    if len(token) <= _QUOTE_HEAD:
+        return repr(token)
+    return f"{token[:_QUOTE_HEAD]!r}... ({sum(ch.isdigit() for ch in token)} digits)"
 
 
 def _from_coefficient_list(items: Iterable) -> Polynomial:

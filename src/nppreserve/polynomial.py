@@ -113,10 +113,8 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
-        return Polynomial.from_vector(
-            (a * x + b * y for x, y in itertools.zip_longest(self.vector, other.vector, fillvalue=0)),
-            den,
-        )
+        pairs = itertools.zip_longest(self.vector, other.vector, fillvalue=0)
+        return Polynomial.from_vector((a * x + b * y for x, y in pairs), den)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial.from_vector((-c for c in self.vector), self.den)

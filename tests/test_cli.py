@@ -1,7 +1,11 @@
 """Polynomial grammar, report schema, exit codes, batch and env handling."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -65,9 +69,14 @@ class TestParse:
         with pytest.raises(UnsupportedCoefficient) as err:
             parse_polynomial(f"x + {digits}/3")
         assert err.value.position == 4
+        message = str(err.value)
+        assert len(message) < 100
+        assert "'11111111111111111111'... (5000 digits)" in message
+        assert message.endswith("(at position 4)")
         with pytest.raises(UnsupportedCoefficient) as err:
             parse_polynomial(f"x + 3/{digits}")
         assert err.value.position == 6
+        assert len(str(err.value)) < 100 and "(5000 digits)" in str(err.value)
 
     def test_degree_limit(self):
         assert parse_polynomial("x^1000").degree == 1000
@@ -252,6 +261,14 @@ class TestReports:
 
 
 class TestBatchAndConfig:
+    def test_module_entry_point(self):
+        src = str(Path(nppreserve.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-m", "nppreserve", "check-p2", "x", "--format", "json"],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0 and out.stderr == ""
+        assert json.loads(out.stdout)["status"] == "member"
+
     def test_batch_ndjson(self, tmp_path, capsys):
         batch = tmp_path / "polys.txt"
         batch.write_text("x^5 - 2x^3 + 2x\nx^4 - x^2 + x + 1\n\nx\n")
@@ -281,6 +298,7 @@ class TestBatchAndConfig:
         assert run(["check-p2", "--coeffs", ",".join(["1"] * 1002)]) == 64
         err = capsys.readouterr().err
         assert err.count("parse error") == 3 and "Traceback" not in err
+        assert "(5000 digits)" in err and len(err) < 400
         batch = tmp_path / "polys.txt"
         batch.write_text(f"x\n3/{digits}x^2\nx^1001\n-x\n")
         code = run(["check-p2", "--batch", str(batch), "--format", "json"])
@@ -288,6 +306,7 @@ class TestBatchAndConfig:
         assert code == 64
         assert [r["status"] for r in lines] == ["member", "parse_error", "parse_error", "not_member"]
         assert "position 2" in lines[1]["error"] and "position 2" in lines[2]["error"]
+        assert len(lines[1]["error"]) < 100 and "(5000 digits)" in lines[1]["error"]
 
     def test_env_overrides(self, capsys, monkeypatch):
         monkeypatch.setenv("NP_PRESERVE_SEED", "42")

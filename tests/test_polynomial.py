@@ -1,10 +1,11 @@
 """Exact arithmetic, parity structure, and real-root counting."""
 
 import random
+from math import gcd
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nppreserve import (
@@ -27,8 +28,14 @@ from nppreserve.polynomial import (
     radical_vector,
 )
 from conftest import QUARTIC, QUARTIC_DERIV, QUINTIC, QUINTIC_DERIV, random_polynomial
+from polynomial_reference import Polynomial as FractionPolynomial
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+wide_fractions_st = st.one_of(
+    st.fractions(max_denominator=10**6),
+    st.sampled_from([Fraction(10**40, 3), Fraction(-(10**40), 3), Fraction(1, 10**30),
+                     Fraction(-1, 10**30), Fraction(0)]))
+wide_poly_st = st.lists(wide_fractions_st, max_size=15)
 poly_st = st.lists(fractions_st, max_size=7).map(Polynomial)
 nonzero_poly_st = poly_st.filter(lambda p: not p.is_zero)
 
@@ -123,6 +130,48 @@ class TestRingLaws:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             divmod(Polynomial.x(), Polynomial(()))
+
+    @given(wide_poly_st, wide_poly_st, wide_fractions_st, wide_fractions_st)
+    @settings(max_examples=150, deadline=None)
+    @example([], [], Fraction(0), Fraction(0))
+    @example([Fraction(-3, 2)], [], Fraction(1, 3), Fraction(5))
+    @example([1, 0, -2], [Fraction(10**40, 3), -1], Fraction(-7, 2), Fraction(-2, 3))
+    @example([Fraction(1, 10**30)] * 14 + [Fraction(10**40, 3)], [Fraction(1, 10**30), 2, -5],
+             Fraction(1, 10**30), Fraction(10**40, 3))
+    def test_matches_fraction_reference(self, a, b, x, s):
+        """Every operation gives the coefficients of the Fraction
+        implementation it replaced, and every result is in lowest terms."""
+
+        def same(mine, ref):
+            assert isinstance(mine.vector, tuple) and mine.den > 0
+            assert not mine.vector or mine.vector[-1] != 0
+            assert gcd(*mine.vector, mine.den) == 1
+            assert mine.coeffs == ref.coeffs
+
+        p, q = Polynomial(a), Polynomial(b)
+        rp, rq = FractionPolynomial(a), FractionPolynomial(b)
+        for mine, ref in ((p, rp), (p + q, rp + rq), (p - q, rp - rq), (-p, -rp),
+                          (p * q, rp * rq), (p * s, rp * s), (s * p, s * rp),
+                          (p.derivative(), rp.derivative()), (p.reflect(), rp.reflect()),
+                          *zip(p.parity_parts(), rp.parity_parts())):
+            same(mine, ref)
+        if not q.is_zero:
+            for mine, ref in zip(divmod(p, q), divmod(rp, rq)):
+                same(mine, ref)
+        if not p.is_zero:
+            same(p.monic(), rp.monic())
+        assert p(x) == rp(x)
+        assert str(p) == str(rp) and repr(p) == repr(rp)
+        assert p.coefficient_strings() == rp.coefficient_strings()
+        assert (p.degree, p.leading) == (rp.degree, rp.leading)
+        # the same polynomial from its Fractions and from a scaled vector
+        k = 6 if p.is_zero else -6
+        twin = Polynomial.from_vector([k * c for c in p.vector], k * p.den)
+        assert twin == p and hash(twin) == hash(p)
+        same(twin, rp)
+        assert (p == q) == (rp == rq)
+        if p == q:
+            assert hash(p) == hash(q)
 
 
 class TestSquareFree:
