@@ -44,9 +44,9 @@ class Polynomial:
     __slots__ = ("vector", "den")
 
     def __init__(self, coeffs: Iterable[Coefficient] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        den = lcm(*[c.denominator for c in cs])
-        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+        pairs = [_as_fraction(c).as_integer_ratio() for c in coeffs]
+        den = lcm(*[d for _, d in pairs])
+        self._store([n * (den // d) for n, d in pairs], den)
 
     def _store(self, f: IntVector, den: int) -> None:
         while f and f[-1] == 0:
@@ -216,6 +216,7 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
+
 
 # -- the integer real-root kernel ---------------------------------------------
 #

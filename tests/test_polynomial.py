@@ -1,8 +1,8 @@
 """Exact arithmetic, parity structure, and real-root counting."""
 
 import random
-from math import gcd
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -165,8 +165,7 @@ class TestRingLaws:
         assert p.coefficient_strings() == rp.coefficient_strings()
         assert (p.degree, p.leading) == (rp.degree, rp.leading)
         # the same polynomial from its Fractions and from a scaled vector
-        k = 6 if p.is_zero else -6
-        twin = Polynomial.from_vector([k * c for c in p.vector], k * p.den)
+        twin = Polynomial.from_vector([-6 * c for c in p.vector], -6 * p.den)
         assert twin == p and hash(twin) == hash(p)
         same(twin, rp)
         assert (p == q) == (rp == rq)
