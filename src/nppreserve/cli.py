@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .halfline import CertificateNotFound, polya_szego_certificate
@@ -64,21 +65,37 @@ MAX_DIGITS = 4300
 #: Characters of a token that an error message quotes.
 _QUOTE_HEAD = 20
 
+#: One term: an optional sign, an optional number with an optional /den and
+#: '*', and an optional x^k, then the blanks before the next term.  Every
+#: part is optional, so the match never fails; _expression_terms turns a
+#: missing or malformed part into the error of its position.  Digits are
+#: ASCII only: str.isdigit also accepts '²', which int() cannot read.
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_TERM = re.compile(
+    rf"\s*(?P<term>(?P<sign>[+-]?)\s*"
+    rf"(?:(?P<num>{_NUMBER})(?:(?P<slash>/)(?P<den>{_NUMBER})?)?\s*(?P<star>\*\s*)?)?"
+    rf"(?P<x>[xX](?:(?P<caret>\^)(?P<exp>[0-9]*))?)?)\s*"
+)
+_DECIMAL = re.compile("[.eE]")
 
-def _rational_token(text: str, position: int) -> Fraction:
-    """Exact conversion of an integer, a/b, or finite-decimal token."""
+#: (power, numerator, denominator) of one term or coefficient.
+_Term = tuple[int, int, int]
+
+
+def _rational_pair(text: str, position: int) -> tuple[int, int]:
+    """Exact (numerator, denominator) of an integer, a/b, or finite-decimal token."""
     try:
         if "/" in text:
             num, _, den = text.partition("/")
             if int(den) == 0:
                 raise UnsupportedCoefficient("zero denominator", position)
-            return Fraction(int(num), int(den))
-        if any(ch in text for ch in ".eE"):
+            return int(num), int(den)
+        if _DECIMAL.search(text):
             value = Decimal(text)
             if value.is_finite() and abs(value.as_tuple().exponent) > MAX_DIGITS:
                 raise UnsupportedCoefficient(f"decimal exponent beyond {MAX_DIGITS}", position)
-            return Fraction(value)
-        return Fraction(int(text))
+            return value.as_integer_ratio()
+        return int(text), 1
     except UnsupportedCoefficient:
         raise
     except (ValueError, InvalidOperation, ZeroDivisionError):
@@ -92,186 +109,104 @@ def _quote(token: str) -> str:
     return f"{token[:_QUOTE_HEAD]!r}... ({sum(ch.isdigit() for ch in token)} digits)"
 
 
-def _from_coefficient_list(items: Iterable) -> Polynomial:
-    coeffs = []
+def _coefficient_terms(items: Iterable) -> list[_Term]:
+    terms = []
     for index, item in enumerate(items):
         if index > MAX_DEGREE:
             raise ParseError(f"more than {MAX_DEGREE + 1} coefficients", index)
         if isinstance(item, (Fraction, int)):
-            coeffs.append(Fraction(item))
+            pair = item.as_integer_ratio()
         else:
             token = str(item).strip()
             if not token:
                 raise ParseError("empty coefficient", index)
-            coeffs.append(_rational_token(token, index))
-    return Polynomial(coeffs)
+            pair = _rational_pair(token, index)
+        terms.append((index, *pair))
+    return terms
+
+
+def _expression_terms(text: str) -> list[_Term]:
+    terms: list[_Term] = []
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        at, end = m.span("term")
+        if at == len(text):
+            if not terms:
+                raise ParseError("empty polynomial expression", at)
+            return terms
+        if terms and not m["sign"]:
+            raise ParseError("expected '+' or '-' between terms", at)
+        n = d = 1
+        if m["slash"]:
+            den_at = m.end("slash")
+            if m["den"] is None or _DECIMAL.search(m["num"] + m["den"]):
+                raise ParseError("a/b form needs integers", den_at)
+            n = _rational_pair(m["num"], m.start("num"))[0]
+            d = _rational_pair(m["den"], den_at)[0]
+            if d == 0:
+                raise UnsupportedCoefficient("zero denominator", den_at)
+        elif m["num"]:
+            n, d = _rational_pair(m["num"], m.start("num"))
+        power = 1 if m["x"] else 0
+        if m["caret"]:
+            if not m["exp"]:
+                missing = m.end("caret")
+                raise ParseError("negative exponent" if text.startswith("-", missing)
+                                 else "missing exponent after '^'", missing)
+            digits = m["exp"].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                raise ParseError(f"exponent above the degree limit {MAX_DEGREE}", m.start("exp"))
+            power = int(digits)
+        if m["star"] and not m["x"]:
+            raise ParseError("expected 'x' after '*'", end)
+        if end < len(text) and text[end].isalpha():
+            raise UnsupportedCoefficient(f"unsupported symbol {text[end]!r}", end)
+        if not (m["num"] or m["x"]):
+            raise ParseError("expected a term", end)
+        terms.append((power, -n if m["sign"] == "-" else n, d))
+        pos = m.end()
 
 
 def parse_polynomial(src: PolySource) -> Polynomial:
     """Parse an expression like 'x^5 - 2x^3 + 2x' (or a coefficient list).
 
     Terms are c, c*x^k or x^k with rational c given as a/b, an integer, or
-    a finite decimal (converted exactly).  Like terms combine; negative
-    exponents, exponents above MAX_DEGREE, numbers of more than MAX_DIGITS
-    digits and non-rational symbols are rejected.
+    a finite decimal (converted exactly), in ASCII digits.  Like terms
+    combine; negative exponents, exponents above MAX_DEGREE, numbers of more
+    than MAX_DIGITS digits and non-rational symbols are rejected.
     """
-    if not isinstance(src, str):
-        return _from_coefficient_list(src)
-    text = src
-    n = len(text)
-    pos = 0
-    acc: dict[int, Fraction] = {}
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def scan_number() -> Optional[str]:
-        nonlocal pos
-        start = pos
-        seen_digit = seen_dot = False
-        while pos < n and (text[pos].isdigit() or (text[pos] == "." and not seen_dot)):
-            seen_dot = seen_dot or text[pos] == "."
-            seen_digit = seen_digit or text[pos].isdigit()
-            pos += 1
-        if not seen_digit:
-            pos = start
-            return None
-        if pos < n and text[pos] in "eE":  # exponent form, still exact
-            mark = pos
-            pos += 1
-            if pos < n and text[pos] in "+-":
-                pos += 1
-            if pos < n and text[pos].isdigit():
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-            else:
-                pos = mark
-        return text[start:pos]
-
-    skip_ws()
-    if pos == n:
-        raise ParseError("empty polynomial expression", pos)
-    first = True
-    while True:
-        skip_ws()
-        if pos == n:
-            break
-        sign = 1
-        if text[pos] in "+-":
-            sign = -1 if text[pos] == "-" else 1
-            pos += 1
-            skip_ws()
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", pos)
-        first = False
-        num_start = pos
-        number = scan_number()
-        coeff: Optional[Fraction] = None
-        if number is not None:
-            if pos < n and text[pos] == "/":
-                pos += 1
-                den_start = pos
-                den = scan_number()
-                if den is None or any(ch in den for ch in ".eE") or any(
-                    ch in number for ch in ".eE"
-                ):
-                    raise ParseError("a/b form needs integers", den_start)
-                # integer tokens: a failure is an integer of too many digits
-                numerator = _rational_token(number, num_start)
-                denominator = _rational_token(den, den_start)
-                if denominator == 0:
-                    raise UnsupportedCoefficient("zero denominator", den_start)
-                coeff = numerator / denominator
-            else:
-                coeff = _rational_token(number, num_start)
-        skip_ws()
-        explicit_star = False
-        if coeff is not None and pos < n and text[pos] == "*":
-            explicit_star = True
-            pos += 1
-            skip_ws()
-        power = 0
-        has_x = False
-        if pos < n and text[pos] in "xX":
-            has_x = True
-            pos += 1
-            power = 1
-            if pos < n and text[pos] == "^":
-                pos += 1
-                if pos < n and text[pos] == "-":
-                    raise ParseError("negative exponent", pos)
-                exp_start = pos
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                if exp_start == pos:
-                    raise ParseError("missing exponent after '^'", pos)
-                digits = text[exp_start:pos].lstrip("0") or "0"
-                if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-                    raise ParseError(f"exponent above the degree limit {MAX_DEGREE}", exp_start)
-                power = int(digits)
-        if explicit_star and not has_x:
-            raise ParseError("expected 'x' after '*'", pos)
-        if pos < n and text[pos].isalpha():
-            raise UnsupportedCoefficient(f"unsupported symbol {text[pos]!r}", pos)
-        if coeff is None and not has_x:
-            raise ParseError("expected a term", pos)
-        value = coeff if coeff is not None else Fraction(1)
-        acc[power] = acc.get(power, Fraction(0)) + sign * value
-    top = max(acc) if acc else 0
-    return Polynomial(acc.get(k, Fraction(0)) for k in range(top + 1))
+    terms = _expression_terms(src) if isinstance(src, str) else _coefficient_terms(src)
+    den = lcm(*(d for _, _, d in terms))
+    vector = [0] * (max((k for k, _, _ in terms), default=-1) + 1)
+    for k, n, d in terms:
+        vector[k] += n * (den // d)
+    return Polynomial.from_vector(vector, den)
 
 
 # -- configuration ---------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    trials: int = 10000
-    seed: int = 0
-    precision_bits: int = 128
-    fmt: str = "text"
+def _env_int(key: str, fallback: int) -> int:
+    """The integer an environment variable sets as a flag's default."""
+    raw = os.environ.get(key)
+    if raw is None:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise _UsageError(f"{key} must be an integer, got {raw!r}")
 
 
-_ENV_KEYS = {
-    "trials": "NP_PRESERVE_TRIALS",
-    "seed": "NP_PRESERVE_SEED",
-    "precision_bits": "NP_PRESERVE_PRECISION",
-    "fmt": "NP_PRESERVE_FORMAT",
-}
-
-
-def _resolve_config(args: argparse.Namespace, env=os.environ) -> RunConfig:
-    config = RunConfig()
-    for attr, key in _ENV_KEYS.items():
-        if key in env:
-            raw = env[key]
-            if attr == "fmt":
-                config.fmt = raw
-            else:
-                try:
-                    setattr(config, attr, int(raw))
-                except ValueError:
-                    raise _UsageError(f"{key} must be an integer, got {raw!r}")
-    overrides = {
-        "trials": args.trials,
-        "seed": args.seed,
-        "precision_bits": args.precision,
-        "fmt": args.format,
-    }
-    for attr, value in overrides.items():
-        if value is not None:
-            setattr(config, attr, value)
-    if config.fmt not in ("text", "json"):
+def _check_settings(args: argparse.Namespace) -> None:
+    if args.format not in ("text", "json"):
         raise _UsageError("format must be 'text' or 'json'")
-    if config.trials < 1:
+    if args.trials < 1:
         raise _UsageError("trials must be positive")
-    if config.seed < 0:
+    if args.seed < 0:
         raise _UsageError("seed must be nonnegative")
-    if config.precision_bits < 16:
+    if args.precision < 16:
         raise _UsageError("precision must be at least 16 bits")
-    return config
 
 
 # -- report assembly --------------------------------------------------------------
@@ -311,7 +246,7 @@ def _membership_report(p: Polynomial, verdict: MembershipVerdict) -> dict:
     return report
 
 
-def _run_command(command: str, p: Polynomial, config: RunConfig) -> dict:
+def _run_command(command: str, p: Polynomial, args: argparse.Namespace) -> dict:
     if command == "check-p1":
         return _membership_report(p, check_p1(p))
     if command == "check-p2":
@@ -333,7 +268,7 @@ def _run_command(command: str, p: Polynomial, config: RunConfig) -> dict:
             }
         return report
     if command == "falsify":
-        found, trials_run = _falsify(p, config.trials, config.seed)
+        found, trials_run = _falsify(p, args.trials, args.seed)
         report = {
             "input": p.coefficient_strings(),
             "class": PreserverClass.P2.value,
@@ -342,7 +277,7 @@ def _run_command(command: str, p: Polynomial, config: RunConfig) -> dict:
             else MembershipStatus.UNKNOWN.value,
             "trail": [{"name": "random_matrix_oracle",
                        "status": "violation" if found is not None else "no_violation"}],
-            "budget_spent": {"trials": trials_run, "seed": config.seed},
+            "budget_spent": {"trials": trials_run, "seed": args.seed},
         }
         if found is not None:
             _add_witness_matrix(report, p, found)
@@ -361,7 +296,7 @@ def _run_command(command: str, p: Polynomial, config: RunConfig) -> dict:
         if verdict.status is not MembershipStatus.MEMBER:
             return _membership_report(p, verdict)
         try:
-            cert = polya_szego_certificate(p, config.precision_bits)
+            cert = polya_szego_certificate(p, args.precision)
         except CertificateNotFound as exc:
             report["status"] = MembershipStatus.UNKNOWN.value
             report["error"] = str(exc)
@@ -383,7 +318,7 @@ def _run_command(command: str, p: Polynomial, config: RunConfig) -> dict:
     raise _UsageError(f"unknown command {command!r}")
 
 
-_EXIT_BY_STATUS = {"member": 0, "pass": 0, "holds": 0,
+_EXIT_BY_STATUS = {"member": 0, "pass": 0,
                    "not_member": 1, "fail": 1, "unknown": 2, "parse_error": 64}
 
 
@@ -433,6 +368,10 @@ def build_parser() -> _ArgumentParser:
         description="Decide membership in nonnegative-matrix-preserver polynomial classes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    trials = _env_int("NP_PRESERVE_TRIALS", 10000)
+    seed = _env_int("NP_PRESERVE_SEED", 0)
+    precision = _env_int("NP_PRESERVE_PRECISION", 128)
+    fmt = os.environ.get("NP_PRESERVE_FORMAT", "text")
     descriptions = {
         "check-p1": "nonnegativity on the half line [0, inf)",
         "check-p2": "preservation of all nonnegative 2x2 matrices",
@@ -446,11 +385,11 @@ def build_parser() -> _ArgumentParser:
         cmd.add_argument("expression", nargs="?", help="polynomial, e.g. 'x^5 - 2x^3 + 2x'")
         cmd.add_argument("--coeffs", help="comma-separated coefficients a0,a1,...")
         cmd.add_argument("--batch", help="file with one polynomial expression per line")
-        cmd.add_argument("--format", choices=("text", "json"), default=None)
-        cmd.add_argument("--trials", type=int, default=None,
+        cmd.add_argument("--format", choices=("text", "json"), default=fmt)
+        cmd.add_argument("--trials", type=int, default=trials,
                          help="falsification trials (default 10000)")
-        cmd.add_argument("--seed", type=int, default=None, help="oracle seed (default 0)")
-        cmd.add_argument("--precision", type=int, default=None,
+        cmd.add_argument("--seed", type=int, default=seed, help="oracle seed (default 0)")
+        cmd.add_argument("--precision", type=int, default=precision,
                          help="certificate precision bits (default 128)")
     return parser
 
@@ -471,7 +410,7 @@ def _gather_inputs(args: argparse.Namespace) -> list[Union[Polynomial, dict]]:
         try:
             with open(args.batch, "r", encoding="utf-8") as handle:
                 lines = [line.strip() for line in handle]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read batch file: {exc}")
         return [_parse_batch_line(number, line)
                 for number, line in enumerate(lines, 1) if line]
@@ -484,7 +423,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
         args = build_parser().parse_args(argv)
-        config = _resolve_config(args)
+        _check_settings(args)
         polynomials = _gather_inputs(args)
     except _UsageError as exc:
         print(f"nppreserve: {exc}", file=sys.stderr)
@@ -494,8 +433,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 64
     worst = 0
     for p in polynomials:
-        report = p if isinstance(p, dict) else _run_command(args.command, p, config)
-        if config.fmt == "json":
+        report = p if isinstance(p, dict) else _run_command(args.command, p, args)
+        if args.format == "json":
             print(json.dumps(report))
         else:
             print(_render_text(report))

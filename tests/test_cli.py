@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpmath.libmp import NoConvergence
 
@@ -15,6 +17,25 @@ import nppreserve.halfline
 from nppreserve import ParseError, Polynomial, UnsupportedCoefficient, parse_polynomial
 from nppreserve.cli import run
 from conftest import QUARTIC, QUINTIC
+import parser_reference
+
+# The over-long and over-limit tokens TestParse rejects, in context.
+LONG = "1" * 5000
+OVERSIZED = [f"x + {LONG}/3", f"x + 3/{LONG}", "x^1000", "x^0001000 - 1", "1 + x^1001",
+             f"1 + x^{'9' * 5000}", "1e4300", "x + 1e4301", "x + 2.5e-4301", "x + 1e100000"]
+# Strings over the grammar's characters, with a few whole tokens at and past the limits.
+grammar_text = st.lists(
+    st.sampled_from(list("0123456789xX^+-*/.eE \t\ny") + ["1" * 4400, "x^1001", "9e4301"]),
+    max_size=24,
+).map("".join)
+
+
+def _outcome(parse, text):
+    try:
+        p = parse(text)
+    except ParseError as exc:
+        return type(exc), exc.position, str(exc)
+    return p.vector, p.den
 
 
 class TestParse:
@@ -106,6 +127,33 @@ class TestParse:
     def test_round_trip_on_corpus(self, corpus200):
         for p in corpus200:
             assert parse_polynomial(str(p)) == p
+
+    @given(grammar_text)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scanner_reference(self, text):
+        assert _outcome(parse_polynomial, text) == _outcome(parser_reference.parse_polynomial, text)
+
+    def test_matches_scanner_reference_on_named_inputs(self):
+        for text in ["x^-1", "", "2*", "x^", "+ +", "1 2", "x + y", "1/0", "1/2.5"] + OVERSIZED:
+            assert _outcome(parse_polynomial, text) == _outcome(
+                parser_reference.parse_polynomial, text), text[:40]
+
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    @example("x^\u00b2")
+    def test_any_text_parses_or_is_a_parse_error(self, text):
+        try:
+            assert isinstance(parse_polynomial(text), Polynomial)
+        except ParseError:
+            pass
+
+    def test_non_ascii_digits_are_parse_errors(self, capsys):
+        # str.isdigit accepts these, but the grammar's digits are ASCII 0-9
+        for text in ("x^\u00b2", "\u0661x", "x^\u0661", "\u00b2"):
+            with pytest.raises(ParseError):
+                parse_polynomial(text)
+            assert run(["check-p2", text]) == 64
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestReports:
@@ -327,13 +375,24 @@ class TestBatchAndConfig:
         report = json.loads(capsys.readouterr().out)
         assert report["budget_spent"]["trials"] == 10
 
-    def test_usage_errors(self, capsys):
+    def test_usage_errors(self, capsys, monkeypatch, tmp_path):
         assert run(["check-p2"]) == 64  # no input
         assert run(["check-p2", "x", "--coeffs", "0,1"]) == 64  # two inputs
         assert run(["check-p2", "x", "--budget-grid", "0"]) == 64  # no such flag
         assert run(["check-p2", "x^-1"]) == 64  # parse error
         assert run(["check-p2", "--batch", "/nonexistent/file"]) == 64
         capsys.readouterr()
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"x\n\xff\n")
+        assert run(["check-p2", "--batch", str(latin1)]) == 64  # not UTF-8
+        assert capsys.readouterr().err.startswith("nppreserve: cannot read batch file: ")
+        monkeypatch.setenv("NP_PRESERVE_TRIALS", "abc")
+        assert run(["check-p2", "x"]) == 64
+        assert capsys.readouterr().err == "nppreserve: NP_PRESERVE_TRIALS must be an integer, got 'abc'\n"
+        monkeypatch.delenv("NP_PRESERVE_TRIALS")
+        monkeypatch.setenv("NP_PRESERVE_FORMAT", "xml")
+        assert run(["check-p2", "x"]) == 64
+        assert capsys.readouterr().err == "nppreserve: format must be 'text' or 'json'\n"
 
     def test_exit_codes_match_status(self, capsys):
         cases = [
