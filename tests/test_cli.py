@@ -134,9 +134,12 @@ class TestParse:
         assert _outcome(parse_polynomial, text) == _outcome(parser_reference.parse_polynomial, text)
 
     def test_matches_scanner_reference_on_named_inputs(self):
-        for text in ["x^-1", "", "2*", "x^", "+ +", "1 2", "x + y", "1/0", "1/2.5"] + OVERSIZED:
-            assert _outcome(parse_polynomial, text) == _outcome(
-                parser_reference.parse_polynomial, text), text[:40]
+        # coefficient lists keep int() and Decimal(), Unicode digits included
+        lists = [["1", "-2", "1/2", "3/-4", " 5 ", "0.25", "1e3", "\u0661", "1_0"],
+                 [Fraction(3, 5), 7, True], [], ["inf"], ["1/0"], [""], ["2.5/1"], ["1"] * 1002]
+        for src in ["x^-1", "", "2*", "x^", "+ +", "1 2", "x + y", "1/0", "1/2.5"] + OVERSIZED + lists:
+            assert _outcome(parse_polynomial, src) == _outcome(
+                parser_reference.parse_polynomial, src), src[:40]
 
     @given(st.text())
     @settings(max_examples=300, deadline=None)
