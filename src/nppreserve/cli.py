@@ -387,10 +387,10 @@ def build_parser() -> _ArgumentParser:
         cmd.add_argument("--batch", help="file with one polynomial expression per line")
         cmd.add_argument("--format", choices=("text", "json"), default=fmt)
         cmd.add_argument("--trials", type=int, default=trials,
-                         help="falsification trials (default 10000)")
-        cmd.add_argument("--seed", type=int, default=seed, help="oracle seed (default 0)")
+                         help="falsification trials (default %(default)s)")
+        cmd.add_argument("--seed", type=int, default=seed, help="oracle seed (default %(default)s)")
         cmd.add_argument("--precision", type=int, default=precision,
-                         help="certificate precision bits (default 128)")
+                         help="certificate precision bits (default %(default)s)")
     return parser
 
 

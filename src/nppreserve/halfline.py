@@ -10,11 +10,14 @@ vector: the Cauchy bound and the signs tested while bisecting toward it.
 
 For members, :func:`polya_szego_certificate` extracts a numeric
 decomposition p = f1^2 + f2^2 + x*(g1^2 + g2^2) whose coefficients are
-binary rationals and whose residual error is re-checked exactly.
+binary rationals and whose residual error is re-checked exactly.  Its roots
+are seeded by a Durand–Kerner pass in Python floats, then polished and
+accepted by mpmath's ``polyroots`` at full precision.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -122,6 +125,9 @@ def check_nonneg_halfline(p: Polynomial) -> HalflineVerdict:
 Quaternion = tuple[Polynomial, Polynomial, Polynomial, Polynomial]
 
 _GUARD_BITS = 64
+_SEED_TOL = 1e-15
+_SEED_FLOOR = 1.5e-8  # about sqrt(float epsilon)
+_SEED_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,51 @@ def _poly_power(p: Polynomial, n: int) -> Polynomial:
     return out
 
 
+def _float_roots(c: list[complex]) -> list[complex]:
+    """Durand–Kerner on Python ``complex`` numbers for the monic c (highest first).
+
+    The iteration is the one ``polyroots`` runs: the same start circle and
+    in-place updates.  It stops once the largest correction, relative to its
+    root, is below _SEED_TOL; or once it is below _SEED_FLOOR and no longer
+    shrinks, where float rounding rather than the iteration sets its size;
+    or after _SEED_STEPS steps.
+    """
+    roots = [(0.4 + 0.9j) ** k for k in range(len(c) - 1)]
+    previous = float("inf")
+    for _ in range(_SEED_STEPS):
+        largest = 0.0
+        for i, z in enumerate(roots):
+            step = 0j
+            for a in c:
+                step = step * z + a
+            for j, w in enumerate(roots):
+                if j != i and w != z:
+                    step /= z - w
+            roots[i] = z - step
+            largest = max(largest, abs(step) / max(1.0, abs(z)))
+        if largest < _SEED_TOL or previous <= largest < _SEED_FLOOR:
+            break
+        previous = largest
+    return roots
+
+
+def _float_seeds(coeffs_desc: list) -> Optional[list[complex]]:
+    """Start values for ``polyroots``, so the multi-precision call only polishes.
+
+    Returns None, and ``polyroots`` then starts from its own circle, when a
+    seed is not finite (coefficients beyond the float range become inf), when
+    the float stage overflows, or when two seeds coincide: equal real start
+    values keep ``polyroots`` on the real line, away from complex roots.
+    """
+    try:
+        roots = _float_roots([complex(a) for a in coeffs_desc])
+    except OverflowError:  # abs() of a complex beyond the float range
+        return None
+    if all(cmath.isfinite(z) for z in roots) and len(set(roots)) == len(roots):
+        return roots
+    return None
+
+
 def _squarefree_factor_quaternions(factor: Polynomial, bits: int) -> list[Quaternion]:
     """Quaternions for one odd-multiplicity square-free factor of a member.
 
@@ -191,7 +242,8 @@ def _squarefree_factor_quaternions(factor: Polynomial, bits: int) -> list[Quater
         return quats
     coeffs_desc = [mpf(c.numerator) / mpf(c.denominator) for c in reversed(u.coeffs)]
     try:
-        roots = polyroots(coeffs_desc, maxsteps=200, extraprec=96)
+        roots = polyroots(coeffs_desc, maxsteps=200, extraprec=96,
+                          roots_init=_float_seeds(coeffs_desc))
     except NoConvergence as exc:
         raise CertificateNotFound(f"root finding did not converge: {exc}") from exc
     im_tol = mpf(2) ** (-(bits // 2))
@@ -224,9 +276,10 @@ def _squarefree_factor_quaternions(factor: Polynomial, bits: int) -> list[Quater
 def polya_szego_certificate(p: Polynomial, precision_bits: int = 128) -> PolyaSzegoCertificate:
     """Decompose a half-line-nonnegative p as f1^2 + f2^2 + x*(g1^2 + g2^2).
 
-    Roots are found to ``precision_bits`` plus guard bits, every assembled
-    coefficient is a binary rational, and the certificate is accepted only
-    when the exactly-computed residual is at most
+    Roots are seeded in floats, then polished by ``polyroots`` to
+    ``precision_bits`` plus guard bits, which also decides convergence.  Every
+    assembled coefficient is a binary rational, and the certificate is
+    accepted only when the exactly-computed residual is at most
     2**(8 - precision_bits) * max|a_k|.
 
     Raises CertificateNotFound when root finding does not converge or that

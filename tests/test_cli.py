@@ -378,6 +378,17 @@ class TestBatchAndConfig:
         report = json.loads(capsys.readouterr().out)
         assert report["budget_spent"]["trials"] == 10
 
+    def test_help_shows_env_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("NP_PRESERVE_TRIALS", "5")
+        monkeypatch.setenv("NP_PRESERVE_PRECISION", "96")
+        with pytest.raises(SystemExit) as exit_info:
+            run(["falsify", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "falsification trials (default 5)" in text
+        assert "oracle seed (default 0)" in text
+        assert "certificate precision bits (default 96)" in text
+
     def test_usage_errors(self, capsys, monkeypatch, tmp_path):
         assert run(["check-p2"]) == 64  # no input
         assert run(["check-p2", "x", "--coeffs", "0,1"]) == 64  # two inputs

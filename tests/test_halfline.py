@@ -1,10 +1,15 @@
 """Half-line nonnegativity decisions and decomposition certificates."""
 
+import cmath
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mpmath import mpf
 from mpmath.libmp import NoConvergence
 
 import nppreserve.halfline
@@ -178,3 +183,153 @@ class TestCertificate:
             cert = polya_szego_certificate(p, 128)
             assert cert.residual <= Fraction(2) ** (8 - 128) * max(abs(c) for c in p.coeffs)
             done += 1
+
+
+# -- the float seeds of the certificate's root finder ------------------------
+
+X = Polynomial.x()
+
+
+def _linear(s):
+    return X + Polynomial((s,))
+
+
+def _quadratic(a, b):
+    """(x - a)^2 + b^2: the roots a +- b*i."""
+    return Polynomial((a * a + b * b, -2 * a, 1))
+
+
+def _product(factors, lead=1):
+    p = Polynomial((lead,))
+    for factor in factors:
+        p = p * factor
+    return p
+
+
+def _cluster(spacing, n=4):
+    """Real roots -1, -1 - spacing, ..., n of them."""
+    return _product(_linear(1 + k * spacing) for k in range(n))
+
+
+def _outcome(p):
+    try:
+        cert = polya_szego_certificate(p, 128)
+    except CertificateNotFound as exc:
+        return type(exc), str(exc)
+    return cert.f1, cert.f2, cert.g1, cert.g2, cert.residual
+
+
+def _reference_outcome(p):
+    """The outcome when polyroots starts from its own circle, without seeds."""
+    with mock.patch.object(nppreserve.halfline, "_float_seeds", lambda coeffs_desc: None):
+        return _outcome(p)
+
+
+def _within_tolerance(p, outcome):
+    if outcome[0] is CertificateNotFound:
+        return True
+    return outcome[-1] <= Fraction(2) ** (8 - 128) * max(abs(c) for c in p.coeffs)
+
+
+positive = st.builds(Fraction, st.integers(1, 40), st.integers(1, 8))
+real = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
+factor = st.one_of(
+    positive.map(_linear),
+    st.tuples(real, positive).map(lambda ab: _quadratic(*ab)),
+    positive.map(lambda r: _linear(-r) * _linear(-r)),  # (x - r)^2, a touch at r > 0
+)
+
+
+@st.composite
+def members(draw):
+    """A positive constant times linear, quadratic and square factors, degree <= 14.
+
+    Some quadratics share one imaginary part, which ties them in polyroots'
+    sort key up to rounding, and some members have a root at 0.
+    """
+    b = draw(positive)
+    drawn = draw(st.lists(st.one_of(factor, real.map(lambda a: _quadratic(a, b))),
+                          min_size=1, max_size=10))
+    if draw(st.booleans()):
+        drawn.append(X)
+    kept, degree = [], 0
+    for f in drawn:
+        if degree + f.degree <= 14:
+            kept.append(f)
+            degree += f.degree
+    return _product(kept, draw(positive))
+
+
+NAMED_MEMBERS = {
+    **{f"cluster spacing 1e-{k}": _cluster(Fraction(1, 10**k)) for k in (2, 4, 6, 8)},
+    "five quadratics with imaginary part 1/2": _product(
+        _quadratic(Fraction(a), Fraction(1, 2)) for a in (-2, -1, 0, 1, 2)),
+    "quadratics with imaginary part 3 and a root at 0": _product(
+        [_quadratic(Fraction(a, 4), Fraction(3)) for a in (-3, 3, 5)] + [X, _linear(2)]),
+    "coefficient 10^400": _linear(10**400) * _linear(1),
+    "coefficient 10^-400": _linear(Fraction(1, 10**400)) * _quadratic(1, 1),
+    "coefficient 10^40/3": _product([_quadratic(0, 1), _linear(Fraction(10**40, 3))]),
+    "coefficient 1/10^30": _quadratic(0, Fraction(1, 10**15)) * _linear(Fraction(1, 10**30)),
+}
+
+
+class TestSeededRoots:
+    """Seeding polyroots from floats changes no certificate.
+
+    The reference is the same certificate with ``_float_seeds`` returning
+    None, which is polyroots called from its own start circle.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(members())
+    def test_matches_unseeded_reference(self, p):
+        seeded = _outcome(p)
+        assert seeded == _reference_outcome(p)
+        assert _within_tolerance(p, seeded)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_MEMBERS))
+    def test_matches_unseeded_reference_on_named_inputs(self, name):
+        p = NAMED_MEMBERS[name]
+        seeded = _outcome(p)
+        assert seeded == _reference_outcome(p)
+        assert _within_tolerance(p, seeded)
+
+    def test_float_seeds_are_close_to_the_roots(self):
+        # (x + 1)(x + 2)((x + 1)^2 + 1), highest coefficient first
+        seeds = nppreserve.halfline._float_seeds([mpf(c) for c in (1, 5, 10, 10, 4)])
+        for root in (-1, -2, -1 + 1j, -1 - 1j):
+            assert min(abs(z - root) for z in seeds) < 1e-12
+
+    def test_float_stage_never_raises(self):
+        overflow = [mpf(1), mpf(10) ** 400]  # x + 10^400: complex() gives inf
+        assert nppreserve.halfline._float_seeds(overflow) is None
+        underflow = [mpf(1), mpf(10) ** -400]  # x + 10^-400: the seed is 0
+        assert nppreserve.halfline._float_seeds(underflow) == [0j]
+        # x^2 + 10^300 overflows inside the iteration and ends in nan
+        assert nppreserve.halfline._float_seeds([mpf(1), mpf(0), mpf(10) ** 300]) is None
+        with mock.patch.object(nppreserve.halfline, "_float_roots", side_effect=OverflowError):
+            assert nppreserve.halfline._float_seeds([mpf(1), mpf(2)]) is None
+        for p in (_linear(10**400), _linear(Fraction(1, 10**400))):
+            outcome = _outcome(p)
+            assert outcome == _reference_outcome(p)
+            assert _within_tolerance(p, outcome)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-420, 420)), min_size=1, max_size=12))
+    def test_float_stage_returns_finite_seeds_or_none(self, terms):
+        coeffs_desc = [mpf(1)] + [mpf(m) * mpf(10) ** e for m, e in terms]
+        seeds = nppreserve.halfline._float_seeds(coeffs_desc)
+        assert seeds is None or (
+            len(seeds) == len(terms) and all(cmath.isfinite(z) for z in seeds))
+
+    def test_coinciding_seeds_fall_back_to_the_circle(self):
+        # No input met so far makes two float seeds equal, so the float stage
+        # is replaced.  All-real equal starts would keep polyroots off the
+        # complex roots for good; such seeds are dropped instead.
+        p = _product([_linear(1), _linear(2), _quadratic(-1, 1)])
+        with mock.patch.object(nppreserve.halfline, "_float_roots",
+                               lambda c: [-1.5 + 0j] * (len(c) - 1)):
+            assert nppreserve.halfline._float_seeds([mpf(1)] * 5) is None
+            outcome = _outcome(p)
+        assert outcome == _reference_outcome(p)
+        assert _within_tolerance(p, outcome) and outcome[0] is not CertificateNotFound
