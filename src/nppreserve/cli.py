@@ -77,13 +77,15 @@ _TERM = re.compile(
     rf"(?P<x>[xX](?:(?P<caret>\^)(?P<exp>[0-9]*))?)?)\s*"
 )
 _DECIMAL = re.compile("[.eE]")
+#: One --coeffs token: a signed number of the grammar, or a signed a/b.
+_COEFFICIENT = re.compile(rf"[+-]?(?:{_NUMBER}|[0-9]+/[0-9]+)")
 
 #: (power, numerator, denominator) of one term or coefficient.
 _Term = tuple[int, int, int]
 
 
 def _rational_pair(text: str, position: int) -> tuple[int, int]:
-    """Exact (numerator, denominator) of an integer, a/b, or finite-decimal token."""
+    """Exact (numerator, denominator) of a token that _COEFFICIENT matches."""
     try:
         if "/" in text:
             num, _, den = text.partition("/")
@@ -92,13 +94,15 @@ def _rational_pair(text: str, position: int) -> tuple[int, int]:
             return int(num), int(den)
         if _DECIMAL.search(text):
             value = Decimal(text)
-            if value.is_finite() and abs(value.as_tuple().exponent) > MAX_DIGITS:
+            if abs(value.as_tuple().exponent) > MAX_DIGITS:
                 raise UnsupportedCoefficient(f"decimal exponent beyond {MAX_DIGITS}", position)
             return value.as_integer_ratio()
         return int(text), 1
     except UnsupportedCoefficient:
         raise
-    except (ValueError, InvalidOperation, ZeroDivisionError):
+    except (ValueError, InvalidOperation):
+        # a matching token fails only by size: int()'s digit limit or
+        # Decimal's exponent range
         raise UnsupportedCoefficient(f"cannot read {_quote(text)} as a rational", position)
 
 
@@ -120,6 +124,8 @@ def _coefficient_terms(items: Iterable) -> list[_Term]:
             token = str(item).strip()
             if not token:
                 raise ParseError("empty coefficient", index)
+            if not _COEFFICIENT.fullmatch(token):
+                raise UnsupportedCoefficient(f"cannot read {_quote(token)} as a rational", index)
             pair = _rational_pair(token, index)
         terms.append((index, *pair))
     return terms

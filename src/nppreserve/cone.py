@@ -151,9 +151,9 @@ def _scan_grid(p: Polynomial) -> tuple[Optional[ConeWitness], dict]:
 
     The point maps back to rho = j/q, mu = i*j/(n*q) with q = n - j, and
     with H(x, d) = d^m f(x/d) for f the vector of p (a constant counts as
-    degree m = 1) the cone value there has the sign of
-    H(-i*j, n*q) + i*n^(m-1)*H(j, q).  The counters are the levels visited
-    and the points evaluated.
+    degree m = 1) the cone value there is j*s / (q*(n*q)^m*p.den), where
+    s = H(-i*j, n*q) + i*n^(m-1)*H(j, q).  The counters are the levels
+    visited and the points evaluated.
     """
     counters = {"grid_levels": 0, "grid_exact_checks": 0}
     m = max(p.degree, 1)
@@ -168,9 +168,10 @@ def _scan_grid(p: Polynomial) -> tuple[Optional[ConeWitness], dict]:
                     continue  # a point of the level above
                 counters["grid_exact_checks"] += 1
                 q = n - j
-                if scaled_value(f, -i * j, n * q) + top * scaled_value(f, j, q) < 0:
-                    rho, mu = Fraction(j, q), Fraction(i * j, n * q)
-                    return ConeWitness(rho, mu, ratio_value(p, rho, mu)), counters
+                s = scaled_value(f, -i * j, n * q) + top * scaled_value(f, j, q)
+                if s < 0:
+                    value = Fraction(j * s, q * (n * q) ** m * p.den)
+                    return ConeWitness(Fraction(j, q), Fraction(i * j, n * q), value), counters
     return None, counters
 
 
@@ -267,44 +268,25 @@ class _Root:
 
 
 def _charpoly(a: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial (low to high, monic) of a square matrix:
-    reduction to Hessenberg form by similarity, then the recurrence on its
-    leading blocks (Cohen, A Course in Computational Algebraic Number
-    Theory, Algorithm 2.2.9)."""
+    """Characteristic polynomial (low to high, monic) of a square matrix, by
+    the Faddeev-LeVerrier recurrence: from B_0 = 0 and c_n = 1,
+    B_k = A*B_(k-1) + c_(n-k+1)*I and c_(n-k) = -tr(A*B_k)/k."""
     n = len(a)
-    h = [list(row) for row in a]
-    for m in range(1, n - 1):
-        i = next((i for i in range(m, n) if h[i][m - 1] != 0), None)
-        if i is None:
-            continue
-        if i != m:
-            h[i], h[m] = h[m], h[i]
-            for row in h:
-                row[i], row[m] = row[m], row[i]
-        t = h[m][m - 1]
-        for i in range(m + 1, n):
-            u = h[i][m - 1] / t
-            if u == 0:
-                continue
-            for j in range(n):
-                h[i][j] -= u * h[m][j]
-            for j in range(n):
-                h[j][m] += u * h[j][i]
-    polys = [Polynomial.one()]
-    for m in range(1, n + 1):
-        pm = Polynomial((-h[m - 1][m - 1], 1)) * polys[m - 1]
-        t = Fraction(1)
-        for i in range(1, m):
-            t *= h[m - i][m - i - 1]
-            pm = pm - polys[m - i - 1] * (h[m - i - 1][m - 1] * t)
-        polys.append(pm)
-    return list(polys[n].coeffs)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    ab = [[Fraction(0)] * n for _ in range(n)]  # A*B_(k-1)
+    for k in range(1, n + 1):
+        b = [[ab[i][j] + coeffs[n - k + 1] * (i == j) for j in range(n)] for i in range(n)]
+        ab = [[sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        coeffs[n - k] = Fraction(-sum(ab[i][i] for i in range(n)), k)
+    return coeffs
 
 
 def _critical_values(critical: IntVector, dp: Polynomial) -> IntVector:
     """Square-free part of R(c) = Res_z(M, p - c*z): the characteristic
     polynomial of multiplication by p' in Q[z]/(M), whose roots are the
-    values p'(z) = phi(z) at the roots z of M."""
+    values p'(z) = phi(z) at the roots z of M.  Faddeev-LeVerrier (_charpoly)
+    builds it from the matrix's columns as rows: a matrix and its transpose
+    have the same characteristic polynomial."""
     modulus = Polynomial(critical)
     n = modulus.degree
     column = dp % modulus
@@ -312,8 +294,7 @@ def _critical_values(critical: IntVector, dp: Polynomial) -> IntVector:
     for _ in range(n):
         columns.append([column.coefficient(i) for i in range(n)])
         column = (column * Polynomial.x()) % modulus
-    matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
-    return radical_vector(integer_vector(Polynomial(_charpoly(matrix))))
+    return radical_vector(integer_vector(Polynomial(_charpoly(columns))))
 
 
 def _count_open(f: IntVector, lo: Fraction, hi: Fraction) -> int:
@@ -548,10 +529,6 @@ def certify_ratio(p: Polynomial) -> RatioVerdict:
 
 # -- the two-valued check ----------------------------------------------------
 
-def _add_spent(counters: dict, spent: dict) -> None:
-    for key, value in spent.items():
-        counters[key] = counters.get(key, 0) + value
-
 
 def check_ratio(p: Polynomial) -> RatioVerdict:
     """Exact cone decision: fast paths, the coarse grid, then separation.
@@ -579,11 +556,9 @@ def check_ratio(p: Polynomial) -> RatioVerdict:
     if odd.degree <= 1 and check_nonneg_halfline(even).member:
         return RatioVerdict(RatioStatus.HOLDS, certificate="linear-odd-part",
                             budget_spent=counters)
-    witness, spent = _scan_grid(p)
-    _add_spent(counters, spent)
+    witness, grid = _scan_grid(p)
     if witness is not None:
-        return RatioVerdict(RatioStatus.FAILS, witness=witness, budget_spent=counters)
+        return RatioVerdict(RatioStatus.FAILS, witness=witness, budget_spent=counters | grid)
     decided = certify_ratio(p)
-    _add_spent(counters, decided.budget_spent)
-    return RatioVerdict(decided.status, witness=decided.witness,
-                        certificate=decided.certificate, budget_spent=counters)
+    return RatioVerdict(decided.status, witness=decided.witness, certificate=decided.certificate,
+                        budget_spent=grid | decided.budget_spent)

@@ -120,7 +120,9 @@ def check_nonneg_halfline(p: Polynomial) -> HalflineVerdict:
 #   positive constant c       -> (sqrt(c), 0, 0, 0)
 # Multiplying the quaternions and reading off the components yields the
 # decomposition; only root finding and square roots are numeric, and those
-# values are rounded to dyadic rationals before the (exact) assembly.
+# values are rounded to dyadic rationals before the (exact) assembly.  Real
+# quaternions (F, 0, 0, 0) are central, so the squares and sqrt(lead) form
+# one polynomial that scales the product of the other blocks once.
 
 Quaternion = tuple[Polynomial, Polynomial, Polynomial, Polynomial]
 
@@ -175,13 +177,6 @@ def _round_poly(p: Polynomial, bits: int) -> Polynomial:
     return Polynomial(Fraction(round(c * grid), grid) for c in p.coeffs)
 
 
-def _poly_power(p: Polynomial, n: int) -> Polynomial:
-    out = Polynomial.one()
-    for _ in range(n):
-        out = out * p
-    return out
-
-
 def _float_roots(c: list[complex]) -> list[complex]:
     """Durand–Kerner on Python ``complex`` numbers for the monic c (highest first).
 
@@ -227,14 +222,13 @@ def _float_seeds(coeffs_desc: list) -> Optional[list[complex]]:
     return None
 
 
-def _squarefree_factor_quaternions(factor: Polynomial, bits: int) -> list[Quaternion]:
-    """Quaternions for one odd-multiplicity square-free factor of a member.
+def _squarefree_factor_quaternions(u: Polynomial, bits: int) -> list[Quaternion]:
+    """Quaternions for one monic odd-multiplicity square-free factor u of a member.
 
     Such a factor has no positive real roots; a root at 0 is split off
     exactly and the remaining roots are located numerically.
     """
     quats: list[Quaternion] = []
-    u = factor.monic()
     if u.coefficient(0) == 0:
         quats.append((Polynomial.zero(), Polynomial.zero(), Polynomial.one(), Polynomial.zero()))
         u = u // Polynomial.x()
@@ -295,26 +289,18 @@ def polya_szego_certificate(p: Polynomial, precision_bits: int = 128) -> PolyaSz
     work_bits = precision_bits + _GUARD_BITS
 
     with mp.workprec(work_bits + 64):
-        q: Quaternion = (
-            Polynomial.one(),
-            Polynomial.zero(),
-            Polynomial.zero(),
-            Polynomial.zero(),
-        )
-        for factor, mult in square_free_decompose(p):
-            half, odd = divmod(mult, 2)
-            if half:
-                q = _qmul(q, (_poly_power(factor, half), Polynomial.zero(),
-                              Polynomial.zero(), Polynomial.zero()))
-            if odd:
-                for block in _squarefree_factor_quaternions(factor, work_bits):
-                    q = _qmul(q, block)
         lead = p.leading  # positive for members of degree >= 1, >= 0 for constants
         root_lead = _dyadic(mp_sqrt(mpf(lead.numerator) / mpf(lead.denominator)), work_bits)
-        q = _qmul(q, (Polynomial((root_lead,)), Polynomial.zero(),
-                      Polynomial.zero(), Polynomial.zero()))
+        scale = Polynomial((root_lead,))  # sqrt(lead) times the squares: central
+        q: Quaternion = (Polynomial.one(), Polynomial.zero(), Polynomial.zero(), Polynomial.zero())
+        for factor, mult in square_free_decompose(p):
+            for _ in range(mult // 2):
+                scale = scale * factor
+            if mult % 2:
+                for block in _squarefree_factor_quaternions(factor, work_bits):
+                    q = _qmul(q, block)
 
-    f1, f2, g1, g2 = (_round_poly(component, precision_bits) for component in q)
+    f1, f2, g1, g2 = (_round_poly(scale * component, precision_bits) for component in q)
     x = Polynomial.x()
     delta = p - (f1 * f1 + f2 * f2) - x * (g1 * g1 + g2 * g2)
     residual = max((abs(c) for c in delta.coeffs), default=Fraction(0))

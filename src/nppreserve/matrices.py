@@ -1,11 +1,11 @@
 """Exact 2x2 matrix evaluation and randomized falsification.
 
-Everything here is exact rational arithmetic: matrix products, polynomial
-evaluation of matrices by Horner, the parametrized positive-matrix
-generator with known spectrum, and the Monte-Carlo search for a
-nonnegative matrix whose image under p has a negative entry.  Randomness
-is a counter-based generator keyed by (seed, trial index), so runs are
-reproducible and trials are independent.
+Everything here is exact rational arithmetic: polynomial evaluation of
+matrices by Horner, the parametrized positive-matrix generator with known
+spectrum, and the Monte-Carlo search for a nonnegative matrix whose image
+under p has a negative entry.  Randomness is a counter-based generator
+keyed by (seed, trial index), so runs are reproducible and trials are
+independent.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ Rational = Union[Fraction, int, str]
 
 @dataclass(frozen=True)
 class Matrix2:
-    """2x2 matrix with exact rational entries."""
+    """2x2 matrix with exact rational entries, a plain value: p(A) is
+    horner_matrix_eval(p, A)."""
 
     a11: Fraction
     a12: Fraction
@@ -36,58 +37,12 @@ class Matrix2:
             if type(value) is not Fraction:
                 object.__setattr__(self, name, Fraction(value))
 
-    @classmethod
-    def identity(cls) -> "Matrix2":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def zero(cls) -> "Matrix2":
-        return cls(0, 0, 0, 0)
-
-    @classmethod
-    def scalar(cls, c: Rational) -> "Matrix2":
-        return cls(c, 0, 0, c)
-
     @property
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a11, self.a12, self.a21, self.a22)
 
     def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
         return ((self.a11, self.a12), (self.a21, self.a22))
-
-    @property
-    def is_nonneg(self) -> bool:
-        return all(e >= 0 for e in self.entries)
-
-    @property
-    def is_positive(self) -> bool:
-        return all(e > 0 for e in self.entries)
-
-    @property
-    def min_entry(self) -> Fraction:
-        return min(self.entries)
-
-    def trace(self) -> Fraction:
-        return self.a11 + self.a22
-
-    def det(self) -> Fraction:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def __add__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.a11 + other.a11,
-            self.a12 + other.a12,
-            self.a21 + other.a21,
-            self.a22 + other.a22,
-        )
-
-    def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
 
     def __str__(self) -> str:
         return f"[[{self.a11}, {self.a12}], [{self.a21}, {self.a22}]]"

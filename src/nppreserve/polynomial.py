@@ -78,12 +78,6 @@ class Polynomial:
     def x(cls) -> "Polynomial":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, k: int, c: Coefficient = 1) -> "Polynomial":
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls([0] * k + [c])
-
     # -- basic queries -------------------------------------------------
 
     @property
@@ -169,10 +163,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial.from_vector(_derivative(self.vector), self.den)
-
-    def reflect(self) -> "Polynomial":
-        """The polynomial x -> p(-x): flips the sign of odd coefficients."""
-        return Polynomial.from_vector(reflect_vector(self.vector), self.den)
 
     def parity_parts(self) -> tuple["Polynomial", "Polynomial"]:
         """Split into (even part, odd part); the two sum back to self."""

@@ -14,6 +14,7 @@ from nppreserve import (
     parse_polynomial,
     sturm_count,
 )
+from nppreserve.polynomial import reflect_vector
 
 # Named inputs reused across the suite.
 QUINTIC = parse_polynomial("x^5 - 2x^3 + 2x")
@@ -136,7 +137,7 @@ def replay_separation(p: Polynomial, cert) -> int:
         expected += [(None, j) for j in positive]
     assert sorted((-1 if c.low is None else c.low, c.high) for c in cert.comparisons) == sorted(
         (-1 if i is None else i, j) for i, j in expected)
-    diagonal = _gcd(crit, crit.reflect())
+    diagonal = _gcd(crit, Polynomial(reflect_vector(cert.critical)))
     for c in cert.comparisons:
         j = c.high
         if c.kind == "separated":

@@ -133,8 +133,8 @@ def test_ac5_oracle_consistency(corpus200):
                 assert falsify_random(p, 10_000, seed=seed) is None, str(p)
         elif verdict.status is MembershipStatus.NOT_MEMBER:
             rejected += 1
-            assert verdict.witness_matrix.is_nonneg
-            assert horner_matrix_eval(p, verdict.witness_matrix).min_entry < 0
+            assert min(verdict.witness_matrix.entries) >= 0
+            assert min(horner_matrix_eval(p, verdict.witness_matrix).entries) < 0
     assert members >= 10 and rejected >= 100
     _passed(5, f"zero contradictions: {members} members x 3 seeds, {rejected} exact witnesses")
 

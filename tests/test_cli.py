@@ -134,12 +134,22 @@ class TestParse:
         assert _outcome(parse_polynomial, text) == _outcome(parser_reference.parse_polynomial, text)
 
     def test_matches_scanner_reference_on_named_inputs(self):
-        # coefficient lists keep int() and Decimal(), Unicode digits included
-        lists = [["1", "-2", "1/2", "3/-4", " 5 ", "0.25", "1e3", "\u0661", "1_0"],
+        # coefficient lists: the tokens that int() and Decimal() read alike
+        lists = [["1", "-2", "1/2", " 5 ", "0.25", "1e3"],
                  [Fraction(3, 5), 7, True], [], ["inf"], ["1/0"], [""], ["2.5/1"], ["1"] * 1002]
         for src in ["x^-1", "", "2*", "x^", "+ +", "1 2", "x + y", "1/0", "1/2.5"] + OVERSIZED + lists:
             assert _outcome(parse_polynomial, src) == _outcome(
                 parser_reference.parse_polynomial, src), src[:40]
+
+    def test_list_tokens_are_the_grammar_numbers(self, capsys):
+        # int() and Decimal() also read Unicode digits, '_' and a signed
+        # denominator; a list token is an ASCII number of the grammar
+        for token in ("\u0661", "1_0", "3/-4"):
+            with pytest.raises(UnsupportedCoefficient) as err:
+                parse_polynomial(["1", "-2", token])
+            assert err.value.position == 2 and repr(token) in str(err.value)
+            assert run(["check-p2", "--coeffs", f"1,-2,{token}"]) == 64
+        assert "Traceback" not in capsys.readouterr().err
 
     @given(st.text())
     @settings(max_examples=300, deadline=None)

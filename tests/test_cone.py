@@ -10,6 +10,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -165,7 +166,7 @@ class TestRefute:
         # P = r^109 * ((t^110 + t)*r - (t - t^109)*(1 - r)/512) is negative
         # only for r < 1/512, below every grid point, so the witness comes
         # from the exact decision's failing pair, at once
-        p = Polynomial.monomial(110, 1) - Polynomial.monomial(109, Fraction(1, 512))
+        p = Polynomial([0] * 109 + [Fraction(-1, 512), 1])
         w, counters = cone._scan_grid(p)
         assert w is None
         assert counters == {"grid_levels": 2, "grid_exact_checks": 12}
@@ -176,10 +177,10 @@ class TestRefute:
         assert ratio_value(p, w.rho, w.mu) == w.value < 0
 
     def test_witnesses_are_exact(self):
+        # the value is built from the grid's integer; below degree 2, m = 1
         rng = random.Random(321)
         found = 0
-        for _ in range(60):
-            p = random_polynomial(rng)
+        for p in [Polynomial((-1,)), Polynomial((-1, 1))] + [random_polynomial(rng) for _ in range(60)]:
             w = cone._scan_grid(p)[0]
             if w is not None:
                 found += 1
@@ -242,7 +243,7 @@ class TestGridAgainstExactScan:
         # reach the grid, where a constant counts as degree 1.
         rng = random.Random(1414)
         below_two = [Polynomial((-1,)), parse_polynomial("x - 1")]
-        inputs = [TOUCH_AT_GRID, TOUCH_AT_GRID - Polynomial.monomial(4, Fraction(1, 10**6)),
+        inputs = [TOUCH_AT_GRID, TOUCH_AT_GRID - Polynomial((0, 0, 0, 0, Fraction(1, 10**6))),
                   *(p for p, _ in DEEP_REFUTATIONS), EDGE_NEGATIVE, *below_two]
         inputs += [random_polynomial(rng, 7) for _ in range(30)]
         outcomes = set()
@@ -612,9 +613,9 @@ class TestSeparation:
         assert len(cert.critical_values) > 1
 
     def test_perturbed_irrational_touch_fails(self):
-        p = GOLDEN_TOUCH - Polynomial.monomial(3, Fraction(1, 10**4))
+        p = GOLDEN_TOUCH - Polynomial((0, 0, 0, Fraction(1, 10**4)))
         assert decide(p).status is RatioStatus.FAILS
-        p = GOLDEN_TOUCH + Polynomial.monomial(3, Fraction(1, 10**4))
+        p = GOLDEN_TOUCH + Polynomial((0, 0, 0, Fraction(1, 10**4)))
         assert decide(p).status is RatioStatus.HOLDS
 
     def test_edge_touch_needs_the_gcd(self):
@@ -622,7 +623,7 @@ class TestSeparation:
         assert "edge-tie" in {c.kind for c in cert.comparisons}
 
     def test_perturbed_interior_touch_fails(self):
-        p = INTERIOR_TOUCH - Polynomial.monomial(4, Fraction(1, 10**6))
+        p = INTERIOR_TOUCH - Polynomial((0, 0, 0, 0, Fraction(1, 10**6)))
         assert ratio_value(p, 2, 1) == Fraction(-9, 500000)
         assert check_spectral(p).member
         verdict = decide(p)
@@ -648,7 +649,7 @@ class TestSeparation:
 
     def test_edge_condition_alone_refutes(self):
         # phi(z2) < a1 at a positive critical point; every pair separates
-        p = EDGE_TOUCH - Polynomial.monomial(2, Fraction(1, 1000))
+        p = EDGE_TOUCH - Polynomial((0, 0, Fraction(1, 1000)))
         assert check_spectral(p).member
         verdict = decide(p)
         assert verdict.status is RatioStatus.FAILS
@@ -694,7 +695,7 @@ class TestScaleInvariance:
     # same sign: the same verdict, witness, grid levels and grid points at
     # every scale
     INPUTS = [QUINTIC, *(p for p, _ in DEEP_REFUTATIONS), EDGE_NEGATIVE, CERTIFY_MEMBER,
-              INTERIOR_TOUCH - Polynomial.monomial(4, Fraction(1, 10**6))]
+              INTERIOR_TOUCH - Polynomial((0, 0, 0, 0, Fraction(1, 10**6)))]
     SCALES = [Fraction(10**400), Fraction(1, 10**400), Fraction(2**1100), Fraction(1, 2**1100)]
 
     @staticmethod
@@ -732,16 +733,47 @@ def _det(rows):
 
 
 class TestCharacteristicPolynomial:
+    @staticmethod
+    def special_matrices(n):
+        """The zero matrix, the identity, the nilpotent shift, and a matrix
+        whose entry (1, 0) is 0 while one below it is not (n >= 4), so a
+        Hessenberg reduction has to swap rows."""
+        yield [[Fraction(0)] * n for _ in range(n)]
+        yield [[Fraction(i == j) for j in range(n)] for i in range(n)]
+        yield [[Fraction(j == i + 1) for j in range(n)] for i in range(n)]
+        yield [[Fraction((i + 2 * j) % 5 - 2) * (i != 1 or j != 0) for j in range(n)]
+               for i in range(n)]
+
     def test_against_determinants(self):
         rng = random.Random(5)
-        for n in range(1, 7):
-            for _ in range(6):
-                a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * (rng.random() < 0.7)
-                      for _ in range(n)] for _ in range(n)]
+        for n in range(1, 9):
+            drawn = [[[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * (rng.random() < 0.7)
+                       for _ in range(n)] for _ in range(n)] for _ in range(6)]
+            for a in drawn + list(self.special_matrices(n)):
                 coeffs = cone._charpoly(a)
+                assert len(coeffs) == n + 1 and coeffs[-1] == 1
                 for c in (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5)):
                     shifted = [[c * (i == j) - a[i][j] for j in range(n)] for i in range(n)]
                     assert Polynomial(coeffs)(c) == _det(shifted)
+
+    def test_closed_forms(self):
+        for n in range(1, 9):
+            zero, identity, shift, _ = self.special_matrices(n)
+            assert cone._charpoly(zero) == cone._charpoly(shift) == [0] * n + [1]  # x^n
+            # (x - 1)^n
+            assert cone._charpoly(identity) == [comb(n, k) * (-1) ** (n - k) for k in range(n + 1)]
+
+    def test_critical_values_of_the_tie_inputs(self):
+        # R for the inputs whose comparisons need it, as the Hessenberg
+        # reduction computed it
+        golden = (-2570631875, 2598187375, -1046593650, 209711770, -20868811, 823543)
+        assert decide(GOLDEN_TOUCH).certificate.critical_values == golden
+        p = GOLDEN_TOUCH + Polynomial((0, 0, 0, Fraction(1, 10**4)))
+        assert decide(p).certificate.critical_values == (
+            51415177419632163632362667083312165, -62248921396942469999043792211128933,
+            31325723728091882229946480512000000, -8380838412710061361806800000000000,
+            1256246881138452480000000000000000, -99947072083200000000000000000000,
+            3294172000000000000000000000000)
 
 
 class TestBoxValidation:
