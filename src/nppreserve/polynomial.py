@@ -170,11 +170,6 @@ class Polynomial:
         odd = [c if k % 2 else 0 for k, c in enumerate(self.vector)]
         return Polynomial.from_vector(even, self.den), Polynomial.from_vector(odd, self.den)
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("zero polynomial has no monic associate")
-        return Polynomial.from_vector(self.vector, self.vector[-1])
-
     # -- formatting -----------------------------------------------------
 
     def coefficient_strings(self) -> list[str]:

@@ -160,8 +160,6 @@ class TestRingLaws:
         if not q.is_zero:
             for mine, ref in zip(divmod(p, q), divmod(rp, rq)):
                 same(mine, ref)
-        if not p.is_zero:
-            same(p.monic(), rp.monic())
         assert p(x) == rp(x)
         assert str(p) == str(rp) and repr(p) == repr(rp)
         assert p.coefficient_strings() == rp.coefficient_strings()
@@ -302,13 +300,13 @@ class TestSturm:
 def _ref_gcd(a, b):
     while not b.is_zero:
         a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+    return a * (1 / a.leading) if not a.is_zero else a
 
 
 def _ref_square_free(p):
     if p.degree <= 0:
         return []
-    f = p.monic()
+    f = p * (1 / p.leading)
     df = f.derivative()
     a0 = _ref_gcd(f, df)
     b, c = f // a0, df // a0
@@ -335,7 +333,8 @@ def _ref_odd_part(p):
 def _ref_radical(p):
     if p.degree <= 0:
         return Polynomial.one()
-    return (p // _ref_gcd(p, p.derivative())).monic()
+    r = p // _ref_gcd(p, p.derivative())
+    return r * (1 / r.leading)
 
 
 def _sign(x):
